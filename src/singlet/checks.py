@@ -297,12 +297,11 @@ def _suite_orbifold(params: Params, m: int) -> SuiteResult:
             )
     depth = 10
     for atom in simples[: 4 * p]:
-        brute = ModuleExpr()
-        for n in range(-8, 9):
-            if isinstance(atom, orbifold.WSimple):
-                brute = brute + ModuleExpr.of(MSimple(atom.r + op.r_modulus * n, atom.s))
-            else:
-                brute = brute + ModuleExpr.of(FockTypical(atom.q + op.q_modulus * n))
+        if isinstance(atom, orbifold.WSimple):
+            lifts = [MSimple(atom.r + op.r_modulus * n, atom.s) for n in range(-8, 9)]
+        else:
+            lifts = [FockTypical(atom.q + op.q_modulus * n) for n in range(-8, 9)]
+        brute = ModuleExpr.of(*lifts)
         res.check(
             orbifold.orbifold_char(op, atom, depth) == ch_expr(params, brute, depth),
             f"orbit character window failed at {label(atom)}",

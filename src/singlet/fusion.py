@@ -29,6 +29,7 @@ from .modules import (
     label,
     normalize_atom,
     sort_key,
+    term_pairs,
 )
 from .weights import Params, Weight
 
@@ -149,12 +150,10 @@ def fuse_typical_typical(params: Params, q, q2) -> ModuleExpr:
 
 def k_product(params: Params, a, b) -> ModuleExpr:
     """Grothendieck-ring product of two K-classes (bilinear over simples)."""
-    ka, kb = k_class(params, a), k_class(params, b)
-    out = ModuleExpr()
-    for x, mx in ka.terms():
-        for y, my in kb.terms():
-            out = out + (mx * my) * _k_simple_pair(params, x, y)
-    return out
+    ka, kb = k_class(params, a).terms(), k_class(params, b).terms()
+    return ModuleExpr.combine(
+        (mx * my, _k_simple_pair(params, x, y)) for x, mx in ka for y, my in kb
+    )
 
 
 def _k_simple_pair(params: Params, x, y) -> ModuleExpr:
@@ -231,9 +230,12 @@ def projective_decompose(params: Params, k) -> ModuleExpr:
 _FUSABLE = (MSimple, FockTypical, Proj)
 
 
-def _check_fusable(atom):
+def _fusable(params: Params, atom):
+    """Normalized fusable atom with its sort key."""
+    atom = normalize_atom(params, atom)
     if not isinstance(atom, _FUSABLE):
         raise UnsupportedSpecies(f"fusion is not defined for {label(atom)}")
+    return atom, sort_key(atom)
 
 
 @lru_cache(maxsize=None)
@@ -255,16 +257,10 @@ def _fuse_atoms(params: Params, a, b) -> ModuleExpr:
 
 def fuse(params: Params, x, y) -> ModuleExpr:
     """Tensor product of two module expressions, bilinear over direct sums."""
-    out = ModuleExpr()
-    for a, ma in as_expr(x).terms():
-        a = normalize_atom(params, a)
-        _check_fusable(a)
-        for b, mb in as_expr(y).terms():
-            b = normalize_atom(params, b)
-            _check_fusable(b)
-            lo, hi = (a, b) if sort_key(a) <= sort_key(b) else (b, a)
-            out = out + (ma * mb) * _fuse_atoms(params, lo, hi)
-    return out
+    return ModuleExpr.combine(
+        (ma * mb, _fuse_atoms(params, a, b) if ka <= kb else _fuse_atoms(params, b, a))
+        for (a, ka), ma, (b, kb), mb in term_pairs(x, y, lambda atom: _fusable(params, atom))
+    )
 
 
 # --- independent recursion oracle ---------------------------------------
@@ -304,21 +300,18 @@ def _m12_atom(params: Params, atom) -> ModuleExpr:
     # projective twice, and "P(r,0)" stands for M(r-1,p) + M(r+1,p).
     r, s = atom.r, atom.s
     if s == p - 1:
-        return ModuleExpr([(MSimple(r, p), 2)]) + _proj_edge(params, r, p - 2)
-    return _proj_edge(params, r, s - 1) + _proj_edge(params, r, s + 1)
+        return ModuleExpr.of(MSimple(r, p), MSimple(r, p), *_proj_edge(p, r, p - 2))
+    return ModuleExpr.of(*_proj_edge(p, r, s - 1), *_proj_edge(p, r, s + 1))
 
 
-def _proj_edge(params: Params, r: int, k: int) -> ModuleExpr:
+def _proj_edge(p: int, r: int, k: int) -> tuple:
     if k == 0:
-        return ModuleExpr.of(MSimple(r - 1, params.p), MSimple(r + 1, params.p))
-    return ModuleExpr.of(Proj(r, k))
+        return (MSimple(r - 1, p), MSimple(r + 1, p))
+    return (Proj(r, k),)
 
 
 def _m12_times(params: Params, expr: ModuleExpr) -> ModuleExpr:
-    out = ModuleExpr()
-    for atom, mult in expr.terms():
-        out = out + mult * _m12_atom(params, atom)
-    return out
+    return ModuleExpr.combine((mult, _m12_atom(params, atom)) for atom, mult in expr.terms())
 
 
 def _t_ladder(params: Params, atom, s_target: int) -> ModuleExpr:
@@ -366,12 +359,7 @@ def _cheb_pair(params: Params, a, b) -> ModuleExpr:
 
 def chebyshev_fuse(params: Params, x, y) -> ModuleExpr:
     """Recursion-oracle tensor product; must agree with :func:`fuse`."""
-    out = ModuleExpr()
-    for a, ma in as_expr(x).terms():
-        a = normalize_atom(params, a)
-        _check_fusable(a)
-        for b, mb in as_expr(y).terms():
-            b = normalize_atom(params, b)
-            _check_fusable(b)
-            out = out + (ma * mb) * _cheb_pair(params, a, b)
-    return out
+    return ModuleExpr.combine(
+        (ma * mb, _cheb_pair(params, a, b))
+        for (a, _), ma, (b, _), mb in term_pairs(x, y, lambda atom: _fusable(params, atom))
+    )

@@ -14,6 +14,12 @@ conventions collapse both to ``MSimple(r, p)`` (see :func:`normalize_atom`).
 A :class:`ModuleExpr` is a finite multiset of labels with positive integer
 multiplicities.  K-classes (multisets of composition factors) reuse the same
 container, restricted to simple species.
+
+:meth:`ModuleExpr.combine` is the one way to accumulate a direct sum: it
+adds ``n * expr`` over ``(n, expr)`` pairs into a single dict, checking each
+scalar once.  ``ModuleExpr(...)`` validates every multiplicity it is given;
+the results of ``combine``, ``+``, ``*``, ``subtract`` and ``map_atoms`` are
+valid by construction (no zero or negative multiplicity) and skip that pass.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ __all__ = [
     "Indecomposable",
     "ModuleExpr",
     "as_expr",
+    "term_pairs",
     "label",
     "sort_key",
     "normalize_atom",
@@ -70,6 +77,12 @@ class FockTypical:
         if q.denominator == 1:
             raise DomainError(f"typical Fock coordinate must be non-integral, got {q}")
         object.__setattr__(self, "q", q)
+        # Fraction hashing is slow and these atoms are dict keys on every
+        # product; the value is the one the dataclass would compute.
+        object.__setattr__(self, "_hash", hash((q,)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -108,11 +121,14 @@ def label(atom) -> str:
 
 
 def sort_key(atom):
-    """Total order on labels: species rank, then (r, s) or the coordinate."""
+    """Total order on labels: species rank, then (r, s) or the coordinate.
+
+    Ranks differ between species, so an int r is never compared with a
+    Fraction coordinate."""
     q = getattr(atom, "q", None)
     if q is not None:
-        return (atom._RANK, q, Fraction(0))
-    return (atom._RANK, Fraction(atom.r), Fraction(atom.s))
+        return (atom._RANK, q, 0)
+    return (atom._RANK, atom.r, atom.s)
 
 
 def normalize_atom(params: Params, atom) -> Indecomposable:
@@ -153,8 +169,31 @@ class ModuleExpr:
                 data[atom] = data.get(atom, 0) + mult
 
     @classmethod
+    def _trusted(cls, data: dict) -> "ModuleExpr":
+        """Wrap a dict of positive int multiplicities without validating it."""
+        out = object.__new__(cls)
+        out._terms = data
+        return out
+
+    @classmethod
+    def combine(cls, pieces) -> "ModuleExpr":
+        """Direct sum of ``n * expr`` over the ``(n, expr)`` pairs in ``pieces``."""
+        data: dict = {}
+        get = data.get
+        for n, expr in pieces:
+            if not isinstance(n, int) or n < 0:
+                raise DomainError(f"scalar must be a nonnegative integer, got {n!r}")
+            if n:
+                for atom, mult in expr._terms.items():
+                    data[atom] = get(atom, 0) + n * mult
+        return cls._trusted(data)
+
+    @classmethod
     def of(cls, *atoms) -> "ModuleExpr":
-        return cls([(a, 1) for a in atoms])
+        data: dict = {}
+        for atom in atoms:
+            data[atom] = data.get(atom, 0) + 1
+        return cls._trusted(data)
 
     @classmethod
     def zero(cls) -> "ModuleExpr":
@@ -183,15 +222,10 @@ class ModuleExpr:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "ModuleExpr") -> "ModuleExpr":
-        out = dict(self._terms)
-        for atom, mult in other._terms.items():
-            out[atom] = out.get(atom, 0) + mult
-        return ModuleExpr(out)
+        return ModuleExpr.combine(((1, self), (1, other)))
 
     def __rmul__(self, n: int) -> "ModuleExpr":
-        if not isinstance(n, int) or n < 0:
-            raise DomainError(f"scalar must be a nonnegative integer, got {n!r}")
-        return ModuleExpr({a: n * m for a, m in self._terms.items()}) if n else ModuleExpr()
+        return ModuleExpr.combine(((n, self),))
 
     __mul__ = __rmul__
 
@@ -206,14 +240,14 @@ class ModuleExpr:
                 out[atom] = left
             else:
                 out.pop(atom, None)
-        return ModuleExpr(out)
+        return ModuleExpr._trusted(out)
 
     def map_atoms(self, fn) -> "ModuleExpr":
         out: dict = {}
         for atom, mult in self._terms.items():
             new = fn(atom)
             out[new] = out.get(new, 0) + mult
-        return ModuleExpr(out)
+        return ModuleExpr._trusted(out)
 
     def __str__(self):
         if not self._terms:
@@ -244,6 +278,22 @@ class ModuleExpr:
 
 def as_expr(x) -> ModuleExpr:
     return x if isinstance(x, ModuleExpr) else ModuleExpr.of(x)
+
+
+def term_pairs(x, y, normalize):
+    """Every pair of terms of two expressions, as ``(a, ma, b, mb)`` with the
+    atoms passed through ``normalize``, in canonical order.
+
+    ``y`` is normalized once, right after the first term of ``x``, so the
+    first error raised is the one a nested loop over ``x`` and ``y`` raises.
+    """
+    ys = None
+    for a, ma in as_expr(x).terms():
+        a = normalize(a)
+        if ys is None:
+            ys = [(normalize(b), mb) for b, mb in as_expr(y).terms()]
+        for b, mb in ys:
+            yield a, ma, b, mb
 
 
 def defining_coord(params: Params, atom) -> Fraction:
@@ -295,25 +345,23 @@ def verma_quotient_factors(params: Params, r: int, s: int) -> ModuleExpr:
 
 def k_class(params: Params, x) -> ModuleExpr:
     """Multiset of composition factors (Grothendieck-group element)."""
-    out = ModuleExpr()
+    p = params.p
+    pieces = []
     for atom, mult in as_expr(x).terms():
         atom = normalize_atom(params, atom)
         if isinstance(atom, (MSimple, FockTypical)):
             factors = ModuleExpr.of(atom)
         elif isinstance(atom, FockAtypical):
-            factors = ModuleExpr.of(MSimple(atom.r, atom.s), MSimple(atom.r + 1, params.p - atom.s))
+            factors = ModuleExpr.of(MSimple(atom.r, atom.s), MSimple(atom.r + 1, p - atom.s))
         elif isinstance(atom, Proj):
-            factors = ModuleExpr(
-                [
-                    (MSimple(atom.r, atom.s), 2),
-                    (MSimple(atom.r - 1, params.p - atom.s), 1),
-                    (MSimple(atom.r + 1, params.p - atom.s), 1),
-                ]
+            simple = MSimple(atom.r, atom.s)
+            factors = ModuleExpr.of(
+                simple, simple, MSimple(atom.r - 1, p - atom.s), MSimple(atom.r + 1, p - atom.s)
             )
         else:
             factors = verma_quotient_factors(params, atom.r, atom.s)
-        out = out + mult * factors
-    return out
+        pieces.append((mult, factors))
+    return ModuleExpr.combine(pieces)
 
 
 def loewy_layers(params: Params, atom) -> list[list[Indecomposable]]:

@@ -35,6 +35,7 @@ from .modules import (
     lowest_weight,
     normalize_atom,
     sort_key,
+    term_pairs,
 )
 from .weights import Params
 
@@ -211,6 +212,19 @@ def _fuse_vv(op: OrbifoldParams, a: VTypical, b: VTypical) -> ModuleExpr:
     return ModuleExpr([(r_proj(op, rr, ss), 1) for rr, ss in typical_pair_terms(p, r, s)])
 
 
+def _orbifold_pair(op: OrbifoldParams, a, b) -> ModuleExpr:
+    if isinstance(a, RProj) or isinstance(b, RProj):
+        lifted = fuse(op.singlet, ModuleExpr.of(lift_atom(op, a)), ModuleExpr.of(lift_atom(op, b)))
+        return induce(op, lifted)
+    if isinstance(a, WSimple) and isinstance(b, WSimple):
+        return _fuse_ww(op, a, b)
+    if isinstance(a, WSimple):
+        return _fuse_wv(op, a, b)
+    if isinstance(b, WSimple):
+        return _fuse_wv(op, b, a)
+    return _fuse_vv(op, a, b)
+
+
 def orbifold_fuse(op: OrbifoldParams, x, y) -> ModuleExpr:
     """Tensor product of orbifold expressions.
 
@@ -218,24 +232,10 @@ def orbifold_fuse(op: OrbifoldParams, x, y) -> ModuleExpr:
     mod the orbit lattice; products involving a cover lift to singlet
     representatives, fuse there, and induce back.
     """
-    out = ModuleExpr()
-    for a, ma in as_expr(x).terms():
-        a = normalize_orbifold_atom(op, a)
-        for b, mb in as_expr(y).terms():
-            b = normalize_orbifold_atom(op, b)
-            if isinstance(a, RProj) or isinstance(b, RProj):
-                lifted = fuse(op.singlet, ModuleExpr.of(lift_atom(op, a)), ModuleExpr.of(lift_atom(op, b)))
-                piece = induce(op, lifted)
-            elif isinstance(a, WSimple) and isinstance(b, WSimple):
-                piece = _fuse_ww(op, a, b)
-            elif isinstance(a, WSimple):
-                piece = _fuse_wv(op, a, b)
-            elif isinstance(b, WSimple):
-                piece = _fuse_wv(op, b, a)
-            else:
-                piece = _fuse_vv(op, a, b)
-            out = out + (ma * mb) * piece
-    return out
+    return ModuleExpr.combine(
+        (ma * mb, _orbifold_pair(op, a, b))
+        for a, ma, b, mb in term_pairs(x, y, lambda atom: normalize_orbifold_atom(op, atom))
+    )
 
 
 def orbifold_projective_cover(op: OrbifoldParams, w) -> tuple:
@@ -297,8 +297,8 @@ def orbifold_char(op: OrbifoldParams, atom, n: int) -> CharacterSum:
 
 
 def orbifold_char_expr(op: OrbifoldParams, x, n: int) -> CharacterSum:
-    lifted = ModuleExpr()
-    for atom, mult in as_expr(x).terms():
-        atom = normalize_orbifold_atom(op, atom)
-        lifted = lifted + mult * _orbit_lifts(op, atom, n)
+    lifted = ModuleExpr.combine(
+        (mult, _orbit_lifts(op, normalize_orbifold_atom(op, atom), n))
+        for atom, mult in as_expr(x).terms()
+    )
     return ch_expr(op.singlet, lifted, n)

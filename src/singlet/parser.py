@@ -9,6 +9,10 @@
               | "W(" int "," int ")" | "V(" rational ")" | "R(" int "," int ")"
     rational := int ["/" int]
 
+The grammar is ASCII: ``int`` is an optional ``-`` and the digits ``0-9``,
+and only ASCII whitespace (space, tab, newline, carriage return, vertical
+tab, form feed) is skipped.
+
 Whitespace is insignificant.  Parsing is two-phase: a grammar pass that
 reports :class:`ExprSyntaxError` with a byte offset, then a semantic pass
 against the active parameters that reports :class:`ExprSemanticError` with
@@ -21,6 +25,7 @@ printing then reparsing is the identity on canonical forms.
 
 from __future__ import annotations
 
+import string
 from fractions import Fraction
 
 from .errors import DomainError, ExprSemanticError, ExprSyntaxError
@@ -33,6 +38,8 @@ __all__ = ["parse_expr", "print_expr", "is_orbifold_expr"]
 _PAIR_SPECIES = {"M": MSimple, "P": Proj, "Fa": FockAtypical, "G": GenVerma, "W": WSimple, "R": RProj}
 _COORD_SPECIES = {"F": FockTypical, "V": VTypical}
 _ORBIFOLD = (WSimple, VTypical, RProj)
+_DIGITS = frozenset(string.digits)
+_SPACE = frozenset(string.whitespace)
 
 
 class _Scanner:
@@ -47,7 +54,7 @@ class _Scanner:
         raise ExprSyntaxError(message, self._byte(self.pos if pos is None else pos))
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while self.pos < len(self.text) and self.text[self.pos] in _SPACE:
             self.pos += 1
 
     def peek(self) -> str:
@@ -68,7 +75,7 @@ class _Scanner:
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == digits:
             self.error("expected an integer", start)
@@ -124,7 +131,7 @@ def _parse_terms(text: str):
     while True:
         sc.skip_ws()
         mult, mult_text = 1, None
-        if sc.peek().isdigit() or sc.peek() == "-":
+        if sc.peek() in _DIGITS or sc.peek() == "-":
             mult = sc.integer()
             mult_text = str(mult)
             sc.expect("*")

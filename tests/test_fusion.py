@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -248,6 +249,24 @@ def test_fuse_rejects_structural_species(p2):
         fuse(p2, FockAtypical(1, 1), MSimple(1, 1))
     with pytest.raises(UnsupportedSpecies):
         fuse(p2, MSimple(1, 1), GenVerma(1, 1))
+
+
+@pytest.mark.parametrize("product", [fuse, chebyshev_fuse])
+@pytest.mark.parametrize(
+    "x, y, error, atom",
+    [
+        # The first bad atom of a nested loop over x, then y, is reported:
+        # x[0], then every term of y, then x[1], ...
+        ((MSimple(1, 1), GenVerma(1, 1)), (FockAtypical(0, 1),), UnsupportedSpecies, "Fa(0,1)"),
+        ((GenVerma(1, 1),), (MSimple(1, 3),), UnsupportedSpecies, "G(1,1)"),
+        ((MSimple(1, 1), Proj(0, 1)), (MSimple(1, 1), MSimple(1, 3)), DomainError, "M(1,3)"),
+        ((MSimple(1, 1), GenVerma(1, 1)), (), UnsupportedSpecies, "G(1,1)"),
+    ],
+)
+def test_first_error_follows_term_order(p2, product, x, y, error, atom):
+    with pytest.raises(error, match=re.escape(atom)):
+        product(p2, ModuleExpr.of(*x), ModuleExpr.of(*y))
+    assert product(p2, ModuleExpr.zero(), ModuleExpr.of(*y)) == ModuleExpr.zero()
 
 
 def test_fuse_bilinear(p2):

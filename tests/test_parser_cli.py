@@ -76,6 +76,26 @@ def test_syntax_errors_carry_offsets(p2, text, offset):
     assert err.value.offset == offset
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("M(\uff11,1)", 2),  # full-width digit one
+        ("F(\u0663/2)", 2),  # Arabic-Indic digit three
+        ("M(1,1)\u00a0+ M(1,1)", 6),  # no-break space
+        ("M(1,\u00a01)", 4),
+        ("\uff12*M(1,1)", 0),
+        ("M(1,1) + \uff2d(1,1)", 9),  # full-width letter M
+    ],
+)
+def test_non_ascii_input_is_a_syntax_error(p2, text, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text, p2)
+    assert err.value.offset == offset
+    code, out, msg = run_cli("--p", "2", "fuse", text, "M(1,1)")
+    assert (code, out) == (1, "")
+    assert f"(at byte {offset})" in msg
+
+
 def test_orbifold_atoms_parse_with_m(p2):
     op = OrbifoldParams(2, 2)
     got = parse_expr("W(5,1) + V(-5/2) + R(1,2)", p2, op)
