@@ -62,11 +62,11 @@ from .orbifold import (
     induce,
     is_local,
     list_simples,
-    orbifold_char,
+    orbifold_char_expr,
     orbifold_fuse,
     orbifold_projective_cover,
 )
-from .parser import parse_expr, print_expr
+from .parser import parse_expr
 from .weights import (
     Params,
     UnitPhase,

@@ -17,17 +17,6 @@ from .weights import Params, Weight, allowed_neighbor_weights, conformal_weight,
 
 __all__ = ["SUITE_NAMES", "SuiteResult", "universe", "run_suite", "run_suites"]
 
-SUITE_NAMES = (
-    "associativity",
-    "kring",
-    "duality",
-    "grading",
-    "characters",
-    "oracle",
-    "orbifold",
-)
-
-
 @dataclass
 class SuiteResult:
     name: str
@@ -261,7 +250,7 @@ def _suite_oracle(params: Params) -> SuiteResult:
 
 def _suite_orbifold(params: Params, m: int) -> SuiteResult:
     op = orbifold.OrbifoldParams(params.p, m)
-    res = SuiteResult("orbifold")
+    res = SuiteResult(f"orbifold(m={m})")
     p = params.p
     simples = orbifold.list_simples(op)
     res.check(
@@ -303,34 +292,31 @@ def _suite_orbifold(params: Params, m: int) -> SuiteResult:
             lifts = [FockTypical(atom.q + op.q_modulus * n) for n in range(-8, 9)]
         brute = ModuleExpr.of(*lifts)
         res.check(
-            orbifold.orbifold_char(op, atom, depth) == ch_expr(params, brute, depth),
+            orbifold.orbifold_char_expr(op, atom, depth) == ch_expr(params, brute, depth),
             f"orbit character window failed at {label(atom)}",
         )
     return res
 
 
+# Suite name -> runner(params, m, order), in the order ``all`` runs them.
+_SUITES = {
+    "associativity": lambda params, m, order: [_suite_associativity(params)],
+    "kring": lambda params, m, order: [_suite_kring(params)],
+    "duality": lambda params, m, order: [_suite_duality(params)],
+    "grading": lambda params, m, order: [_suite_grading(params)],
+    "characters": lambda params, m, order: [_suite_characters(params, order)],
+    "oracle": lambda params, m, order: [_suite_oracle(params)],
+    "orbifold": lambda params, m, order: [
+        _suite_orbifold(params, mm) for mm in ([m] if m is not None else [1, 2])
+    ],
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suite(name: str, params: Params, m: int | None = None, order: int = 40) -> list[SuiteResult]:
-    if name == "associativity":
-        return [_suite_associativity(params)]
-    if name == "kring":
-        return [_suite_kring(params)]
-    if name == "duality":
-        return [_suite_duality(params)]
-    if name == "grading":
-        return [_suite_grading(params)]
-    if name == "characters":
-        return [_suite_characters(params, order)]
-    if name == "oracle":
-        return [_suite_oracle(params)]
-    if name == "orbifold":
-        ms = [m] if m is not None else [1, 2]
-        out = []
-        for mm in ms:
-            result = _suite_orbifold(params, mm)
-            result.name = f"orbifold(m={mm})"
-            out.append(result)
-        return out
-    raise ValueError(f"unknown suite {name!r}")
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return _SUITES[name](params, m, order)
 
 
 def run_suites(names, params: Params, m: int | None = None, order: int = 40) -> list[SuiteResult]:

@@ -58,6 +58,209 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _Output:
+    """A command's result: its JSON value, its text form and its exit code."""
+
+    __slots__ = ("data", "text", "code")
+
+    def __init__(self, data, text: str, code: int = 0):
+        self.data, self.text, self.code = data, text, code
+
+
+class _Call:
+    """A parsed command line with its algebra parameters."""
+
+    __slots__ = ("args", "params", "op")
+
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+        self.params = Params(args.p)
+        self.op = None if args.m is None else OrbifoldParams(args.p, args.m)
+
+    def orbifold(self) -> OrbifoldParams:
+        if self.op is None:
+            raise SingletError(f"subcommand {self.args.command!r} requires --m")
+        return self.op
+
+    def parse(self, text: str) -> ModuleExpr:
+        return parse_expr(text, self.params, self.op)
+
+    def singlet_expr(self, text: str) -> ModuleExpr:
+        expr = self.parse(text)
+        if is_orbifold_expr(expr):
+            raise ExprSemanticError(
+                f"{self.args.command} works on singlet expressions; use the orbifold subcommands"
+            )
+        return expr
+
+
+def _checked_order(order: int) -> int:
+    if order < 0:
+        raise SingletError(f"truncation order must be >= 0, got {order}")
+    return order
+
+
+def _char_order(args) -> int:
+    order = args.order
+    if order is None:
+        raw = os.environ.get("SINGLET_ORDER")
+        if raw is None:
+            return _DEFAULT_ORDER
+        try:
+            order = int(raw)
+        except ValueError:
+            raise SingletError(f"SINGLET_ORDER must be an integer, got {raw!r}") from None
+    return _checked_order(order)
+
+
+def _expr(expr: ModuleExpr) -> _Output:
+    return _Output(expr.to_json(), str(expr))
+
+
+def _layers_json(layers):
+    return [[label(a) for a in layer] for layer in layers]
+
+
+def _layers_text(layers) -> str:
+    return " | ".join(", ".join(label(a) for a in layer) for layer in layers)
+
+
+def _phase_table(call: _Call, value_of) -> _Output:
+    table = [(label(atom), str(value_of(atom))) for atom in call.singlet_expr(call.args.x).atoms()]
+    return _Output(
+        [{"atom": atom, "value": value} for atom, value in table],
+        "\n".join(f"{atom}: {value}" for atom, value in table),
+    )
+
+
+def _fuse(call: _Call) -> _Output:
+    return _expr(fuse(call.params, call.singlet_expr(call.args.x), call.singlet_expr(call.args.y)))
+
+
+def _dual(call: _Call) -> _Output:
+    return _expr(dual_op(call.params, call.singlet_expr(call.args.x)))
+
+
+def _kclass(call: _Call) -> _Output:
+    return _expr(k_class_op(call.params, call.singlet_expr(call.args.x)))
+
+
+def _factors(call: _Call) -> _Output:
+    return _expr(verma_quotient_factors(call.params, call.args.r, call.args.s))
+
+
+def _loewy(call: _Call) -> _Output:
+    expr = call.parse(call.args.x)
+    if expr.total() != 1:
+        raise ExprSemanticError("loewy takes a single indecomposable label")
+    atom = expr.atoms()[0]
+    if is_orbifold_expr(expr):
+        orb = call.orbifold()
+        if isinstance(atom, RProj):
+            _, layers = orbifold_projective_cover(orb, WSimple(atom.r, atom.s))
+        else:
+            layers = [[atom]]
+    else:
+        layers = loewy_layers(call.params, atom)
+    return _Output({"layers": _layers_json(layers)}, _layers_text(layers))
+
+
+def _char(call: _Call) -> _Output:
+    order = _char_order(call.args)
+    expr = call.parse(call.args.x)
+    if is_orbifold_expr(expr):
+        result = orbifold_char_expr(call.orbifold(), expr, order)
+    else:
+        result = ch_expr(call.params, expr, order)
+    return _Output(result.to_json(), "\n".join(str(s) for s in result.series()) or "0")
+
+
+def _grade(call: _Call) -> _Output:
+    return _phase_table(call, lambda atom: t_grade(call.params, atom))
+
+
+def _twist(call: _Call) -> _Output:
+    return _phase_table(call, lambda atom: twist_phase(call.params, atom).exponent)
+
+
+def _monodromy(call: _Call) -> _Output:
+    return _phase_table(call, lambda atom: monodromy_phase_with_m21(call.params, atom).exponent)
+
+
+def _verma(call: _Call) -> _Output:
+    r, s = call.args.r, call.args.s
+    factors = verma_quotient_factors(call.params, r, s)
+    layers = loewy_layers(call.params, GenVerma(r, s))
+    h0 = lowest_weight(call.params, GenVerma(r, s))
+    return _Output(
+        {"r": r, "s": s, "factors": factors.to_json(), "layers": _layers_json(layers), "h0": str(h0)},
+        f"G({r},{s}): factors = {factors}; layers = {_layers_text(layers)}; h0 = {h0}",
+    )
+
+
+def _induce(call: _Call) -> _Output:
+    orb = call.orbifold()
+    return _expr(induce_op(orb, call.singlet_expr(call.args.x)))
+
+
+def _simples(call: _Call) -> _Output:
+    labels = [label(a) for a in list_simples(call.orbifold())]
+    return _Output(labels, "\n".join(labels))
+
+
+def _orbfuse(call: _Call) -> _Output:
+    orb = call.orbifold()
+    x, y = call.parse(call.args.x), call.parse(call.args.y)
+    if not (is_orbifold_expr(x) and is_orbifold_expr(y)):
+        raise ExprSemanticError("orbfuse works on orbifold expressions; use fuse")
+    return _expr(orbifold_fuse(orb, x, y))
+
+
+def _check(call: _Call) -> _Output:
+    args = call.args
+    order = 40 if args.order is None else _checked_order(args.order)
+    names = checks.SUITE_NAMES if args.suite == "all" else (args.suite,)
+    results = checks.run_suites(names, call.params, m=args.m, order=order)
+    ok = all(r.ok for r in results)
+    lines = [f"{r.name}: {r.cases} cases, {len(r.failures)} failures" for r in results]
+    for r in results:
+        lines.extend(f"  FAIL {r.name}: {f}" for f in r.failures)
+    lines.append("PASS" if ok else "FAIL")
+    return _Output(
+        {"ok": ok, "suites": [{"name": r.name, "cases": r.cases, "failures": r.failures} for r in results]},
+        "\n".join(lines),
+        0 if ok else 1,
+    )
+
+
+_EXPR = (("x", {}),)
+_EXPR_PAIR = (("x", {}), ("y", {}))
+_LABEL = (("r", {"type": int}), ("s", {"type": int}))
+
+# Subcommand -> (help text, add_argument calls, handler), in the order that
+# ``--help`` lists them.
+_COMMANDS = {
+    "fuse": ("tensor product of two expressions", _EXPR_PAIR, _fuse),
+    "dual": ("termwise contragredient of an expression", _EXPR, _dual),
+    "kclass": ("composition factors as a Grothendieck class", _EXPR, _kclass),
+    "factors": ("composition factors of the generalized Verma quotient", _LABEL, _factors),
+    "loewy": ("socle series of a single indecomposable", _EXPR, _loewy),
+    "char": ("truncated graded character of an expression", _EXPR, _char),
+    "grade": ("monodromy grading (coordinate mod 2) per summand", _EXPR, _grade),
+    "twist": ("ribbon twist exponent per simple summand", _EXPR, _twist),
+    "monodromy": ("monodromy exponent against the order-two current", _EXPR, _monodromy),
+    "verma": ("structure report of the generalized Verma quotient", _LABEL, _verma),
+    "induce": ("orbifold induction of a local expression (needs --m)", _EXPR, _induce),
+    "simples": ("list the simple orbifold modules (needs --m)", (), _simples),
+    "orbfuse": ("tensor product of two orbifold expressions (needs --m)", _EXPR_PAIR, _orbfuse),
+    "check": (
+        "run built-in verification suites",
+        (("--suite", {"choices": checks.SUITE_NAMES + ("all",), "default": "all"}),),
+        _check,
+    ),
+}
+
+
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="singlet", description=__doc__)
     parser.add_argument("--p", type=int, required=True, help="singlet parameter p >= 2")
@@ -70,201 +273,26 @@ def build_parser() -> _ArgumentParser:
         help=f"character truncation order (default: $SINGLET_ORDER or {_DEFAULT_ORDER})",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def add(name, help_text, *positional):
+    for name, (help_text, arguments, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        for arg, kind in positional:
-            cmd.add_argument(arg, type=kind)
-        return cmd
-
-    add("fuse", "tensor product of two expressions", ("x", str), ("y", str))
-    add("dual", "termwise contragredient of an expression", ("x", str))
-    add("kclass", "composition factors as a Grothendieck class", ("x", str))
-    add("factors", "composition factors of the generalized Verma quotient", ("r", int), ("s", int))
-    add("loewy", "socle series of a single indecomposable", ("x", str))
-    add("char", "truncated graded character of an expression", ("x", str))
-    add("grade", "monodromy grading (coordinate mod 2) per summand", ("x", str))
-    add("twist", "ribbon twist exponent per simple summand", ("x", str))
-    add("monodromy", "monodromy exponent against the order-two current", ("x", str))
-    add("verma", "structure report of the generalized Verma quotient", ("r", int), ("s", int))
-    add("induce", "orbifold induction of a local expression (needs --m)", ("x", str))
-    add("simples", "list the simple orbifold modules (needs --m)")
-    add("orbfuse", "tensor product of two orbifold expressions (needs --m)", ("x", str), ("y", str))
-    check = sub.add_parser("check", help="run built-in verification suites")
-    check.add_argument("--suite", choices=checks.SUITE_NAMES + ("all",), default="all")
+        for flag, options in arguments:
+            cmd.add_argument(flag, **options)
     return parser
 
 
-def _resolve_order(args) -> int:
-    if args.order is not None:
-        order = args.order
-    else:
-        raw = os.environ.get("SINGLET_ORDER")
-        if raw is None:
-            return _DEFAULT_ORDER
-        try:
-            order = int(raw)
-        except ValueError:
-            raise SingletError(f"SINGLET_ORDER must be an integer, got {raw!r}") from None
-    if order < 0:
-        raise SingletError(f"truncation order must be >= 0, got {order}")
-    return order
-
-
-def _need_orbifold(args) -> OrbifoldParams:
-    if args.m is None:
-        raise SingletError(f"subcommand {args.command!r} requires --m")
-    return OrbifoldParams(args.p, args.m)
-
-
-def _orbifold_or_none(args) -> OrbifoldParams | None:
-    return None if args.m is None else OrbifoldParams(args.p, args.m)
-
-
-def _expr_json(expr: ModuleExpr):
-    return expr.to_json()
-
-
-def _layers_json(layers):
-    return [[label(a) for a in layer] for layer in layers]
-
-
-def _layers_text(layers) -> str:
-    return " | ".join(", ".join(label(a) for a in layer) for layer in layers)
-
-
-def _phase_table(expr: ModuleExpr, value_of) -> list[tuple[str, str]]:
-    return [(label(atom), str(value_of(atom))) for atom, _ in expr.terms()]
+def _render(output: _Output, as_json: bool) -> tuple[str, int]:
+    """The one place output is formatted; JSON is compact and canonical."""
+    text = json.dumps(output.data, separators=(",", ":")) if as_json else output.text
+    return text, output.code
 
 
 def run_command(args) -> tuple[str, int]:
     """Execute a parsed command line; returns (rendered output, exit code)."""
-    params = Params(args.p)
-    as_json = args.format == "json"
-    op = _orbifold_or_none(args)
-
-    def render_expr(expr):
-        return json.dumps(_expr_json(expr), separators=(",", ":")) if as_json else str(expr)
-
-    def singlet_expr(text):
-        expr = parse_expr(text, params, op)
-        if is_orbifold_expr(expr):
-            raise ExprSemanticError(
-                f"{args.command} works on singlet expressions; use the orbifold subcommands"
-            )
-        return expr
-
-    if args.command == "fuse":
-        return render_expr(fuse(params, singlet_expr(args.x), singlet_expr(args.y))), 0
-
-    if args.command == "dual":
-        return render_expr(dual_op(params, singlet_expr(args.x))), 0
-
-    if args.command == "kclass":
-        return render_expr(k_class_op(params, singlet_expr(args.x))), 0
-
-    if args.command == "factors":
-        return render_expr(verma_quotient_factors(params, args.r, args.s)), 0
-
-    if args.command == "loewy":
-        expr = parse_expr(args.x, params, op)
-        if expr.total() != 1:
-            raise ExprSemanticError("loewy takes a single indecomposable label")
-        atom = expr.atoms()[0]
-        if is_orbifold_expr(expr):
-            orb = _need_orbifold(args)
-            if isinstance(atom, RProj):
-                _, layers = orbifold_projective_cover(orb, WSimple(atom.r, atom.s))
-            else:
-                layers = [[atom]]
-        else:
-            layers = loewy_layers(params, atom)
-        if as_json:
-            return json.dumps({"layers": _layers_json(layers)}, separators=(",", ":")), 0
-        return _layers_text(layers), 0
-
-    if args.command == "char":
-        order = _resolve_order(args)
-        expr = parse_expr(args.x, params, op)
-        if is_orbifold_expr(expr):
-            result = orbifold_char_expr(_need_orbifold(args), expr, order)
-        else:
-            result = ch_expr(params, expr, order)
-        if as_json:
-            return json.dumps(result.to_json(), separators=(",", ":")), 0
-        return "\n".join(str(s) for s in result.series()) or "0", 0
-
-    if args.command in ("grade", "twist", "monodromy"):
-        expr = singlet_expr(args.x)
-        value_of = {
-            "grade": lambda a: t_grade(params, a),
-            "twist": lambda a: twist_phase(params, a).exponent,
-            "monodromy": lambda a: monodromy_phase_with_m21(params, a).exponent,
-        }[args.command]
-        table = _phase_table(expr, value_of)
-        if as_json:
-            payload = [{"atom": atom, "value": value} for atom, value in table]
-            return json.dumps(payload, separators=(",", ":")), 0
-        return "\n".join(f"{atom}: {value}" for atom, value in table), 0
-
-    if args.command == "verma":
-        factors = verma_quotient_factors(params, args.r, args.s)
-        layers = loewy_layers(params, GenVerma(args.r, args.s))
-        h0 = lowest_weight(params, GenVerma(args.r, args.s))
-        if as_json:
-            payload = {
-                "r": args.r,
-                "s": args.s,
-                "factors": _expr_json(factors),
-                "layers": _layers_json(layers),
-                "h0": str(h0),
-            }
-            return json.dumps(payload, separators=(",", ":")), 0
-        return (
-            f"G({args.r},{args.s}): factors = {factors}; layers = {_layers_text(layers)}; h0 = {h0}"
-        ), 0
-
-    if args.command == "induce":
-        orb = _need_orbifold(args)
-        return render_expr(induce_op(orb, singlet_expr(args.x))), 0
-
-    if args.command == "simples":
-        orb = _need_orbifold(args)
-        labels = [label(a) for a in list_simples(orb)]
-        if as_json:
-            return json.dumps(labels, separators=(",", ":")), 0
-        return "\n".join(labels), 0
-
-    if args.command == "orbfuse":
-        orb = _need_orbifold(args)
-        x = parse_expr(args.x, params, orb)
-        y = parse_expr(args.y, params, orb)
-        if not (is_orbifold_expr(x) and is_orbifold_expr(y)):
-            raise ExprSemanticError("orbfuse works on orbifold expressions; use fuse")
-        return render_expr(orbifold_fuse(orb, x, y)), 0
-
-    if args.command == "check":
-        order = args.order if args.order is not None else 40
-        names = checks.SUITE_NAMES if args.suite == "all" else (args.suite,)
-        results = checks.run_suites(names, params, m=args.m, order=order)
-        ok = all(r.ok for r in results)
-        if as_json:
-            payload = {
-                "ok": ok,
-                "suites": [
-                    {"name": r.name, "cases": r.cases, "failures": r.failures} for r in results
-                ],
-            }
-            return json.dumps(payload, separators=(",", ":")), 0 if ok else 1
-        lines = [
-            f"{r.name}: {r.cases} cases, {len(r.failures)} failures" for r in results
-        ]
-        for r in results:
-            lines.extend(f"  FAIL {r.name}: {f}" for f in r.failures)
-        lines.append("PASS" if ok else "FAIL")
-        return "\n".join(lines), 0 if ok else 1
-
-    raise _UsageError("a subcommand is required")
+    call = _Call(args)
+    if args.command not in _COMMANDS:
+        raise _UsageError("a subcommand is required")
+    _, _, handler = _COMMANDS[args.command]
+    return _render(handler(call), args.format == "json")
 
 
 def main(argv=None) -> int:

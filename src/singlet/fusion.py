@@ -71,39 +71,17 @@ def _check_s(p: int, s: int, what: str, top: int | None = None):
         raise DomainError(f"{what} needs 1 <= s <= {top}, got s={s}")
 
 
-def atypical_sum_ranges(p: int, s: int, s2: int) -> tuple[range, range]:
-    """Index ranges (simple part, projective part) of the closed formula for
-    a product of two atypical simples; both ranges step by 2 and are empty
-    when the lower bound exceeds the upper one."""
-    first = range(abs(s - s2) + 1, min(s + s2 - 1, 2 * p - 1 - s - s2) + 1, 2)
-    second = range(2 * p + 1 - s - s2, p + 1, 2)
-    return first, second
-
-
-def atypical_target(p: int, n: int) -> tuple[int, int]:
-    """Solve n = p(r-1) - (s-1) for the unique (r, s) with 1 <= s <= p."""
-    r = -(-n // p) + 1
-    s = p * (r - 1) - n + 1
-    return r, s
-
-
-def typical_pair_terms(p: int, r: int, s: int) -> list[tuple[int, int]]:
-    """Projective labels (r', s') in a typical x typical product landing on
-    the integral coset with parameters (r, s)."""
-    out = [(r, s2) for s2 in range(s, p + 1, 2)]
-    out += [(r - 1, s2) for s2 in range(p + 2 - s, p + 1, 2)]
-    return out
-
-
 def fuse_simple_simple_atypical(params: Params, r: int, s: int, r2: int, s2: int) -> ModuleExpr:
     """Product of the atypical simples at (r, s) and (r2, s2)."""
     p = params.p
     _check_s(p, s, "atypical label")
     _check_s(p, s2, "atypical label")
     rr = r + r2 - 1
-    first, second = atypical_sum_ranges(p, s, s2)
-    terms = [(MSimple(rr, l), 1) for l in first]
-    terms += [(_proj_or_simple(p, rr, l), 1) for l in second]
+    # Both index ranges step by 2 and are empty when their bounds cross.
+    simple = range(abs(s - s2) + 1, min(s + s2 - 1, 2 * p - 1 - s - s2) + 1, 2)
+    projective = range(2 * p + 1 - s - s2, p + 1, 2)
+    terms = [(MSimple(rr, l), 1) for l in simple]
+    terms += [(_proj_or_simple(p, rr, l), 1) for l in projective]
     return ModuleExpr(terms)
 
 
@@ -143,9 +121,13 @@ def fuse_typical_typical(params: Params, q, q2) -> ModuleExpr:
     total = q + q2
     if total.denominator != 1:
         return ModuleExpr([(FockTypical(total + 2 * l), 1) for l in range(p)])
+    # Solve n = p(r-1) - (s-1) for the unique (r, s) with 1 <= s <= p.
     n = int(total) - (2 - 2 * p)
-    r, s = atypical_target(p, n)
-    return ModuleExpr([(_proj_or_simple(p, rr, ss), 1) for rr, ss in typical_pair_terms(p, r, s)])
+    r = -(-n // p) + 1
+    s = p * (r - 1) - n + 1
+    terms = [(_proj_or_simple(p, r, s2), 1) for s2 in range(s, p + 1, 2)]
+    terms += [(_proj_or_simple(p, r - 1, s2), 1) for s2 in range(p + 2 - s, p + 1, 2)]
+    return ModuleExpr(terms)
 
 
 def k_product(params: Params, a, b) -> ModuleExpr:

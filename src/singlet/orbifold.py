@@ -8,22 +8,23 @@ current orbit; its module labels are orbits of singlet labels:
 * ``RProj(r, s)``    r mod 2m, 1 <= s <= p-1; ``RProj(r, p)`` collapses to
   ``WSimple(r, p)``
 
-Induction is defined exactly on local singlet modules (m*q integral).
-Fusion is implemented twice: by the direct closed formulas with indices
-reduced modulo the orbit lattice, and (for products involving covers) by
-lifting to singlet representatives, fusing there, and inducing back.  The
-check suites require the two paths to agree.
+Induction is defined exactly on local singlet modules (m*q integral).  It is
+a tensor functor, so an orbifold product is computed in one way: lift both
+labels to singlet representatives, fuse there, and induce back.  The
+``orbifold`` check suite and the property tests require the result not to
+depend on the chosen lifts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
 from .characters import CharacterSum, ch_expr
 from .errors import DomainError, NotLocal, UnsupportedSpecies
-from .fusion import atypical_sum_ranges, atypical_target, fuse, typical_pair_terms
+from .fusion import fuse
 from .modules import (
     FockTypical,
     ModuleExpr,
@@ -31,8 +32,8 @@ from .modules import (
     Proj,
     as_expr,
     defining_coord,
+    k_class,
     label,
-    lowest_weight,
     normalize_atom,
     sort_key,
     term_pairs,
@@ -53,7 +54,6 @@ __all__ = [
     "lift_atom",
     "orbifold_fuse",
     "orbifold_projective_cover",
-    "orbifold_char",
     "orbifold_char_expr",
 ]
 
@@ -189,51 +189,15 @@ def lift_atom(op: OrbifoldParams, atom):
     raise DomainError(f"not an orbifold module label: {atom!r}")
 
 
-def _fuse_ww(op: OrbifoldParams, a: WSimple, b: WSimple) -> ModuleExpr:
-    rr = a.r + b.r - 1
-    first, second = atypical_sum_ranges(op.p, a.s, b.s)
-    terms = [(w_simple(op, rr, l), 1) for l in first]
-    terms += [(r_proj(op, rr, l), 1) for l in second]
-    return ModuleExpr(terms)
-
-
-def _fuse_wv(op: OrbifoldParams, a: WSimple, b: VTypical) -> ModuleExpr:
-    base = b.q + op.p * (a.r - 1) - (a.s - 1)
-    return ModuleExpr([(v_typical(op, base + 2 * l), 1) for l in range(a.s)])
-
-
-def _fuse_vv(op: OrbifoldParams, a: VTypical, b: VTypical) -> ModuleExpr:
-    p = op.p
-    total = (a.q + b.q) % op.q_modulus
-    if total.denominator != 1:
-        return ModuleExpr([(v_typical(op, total + 2 * l), 1) for l in range(p)])
-    n = int(total) - (2 - 2 * p)
-    r, s = atypical_target(p, n)
-    return ModuleExpr([(r_proj(op, rr, ss), 1) for rr, ss in typical_pair_terms(p, r, s)])
-
-
-def _orbifold_pair(op: OrbifoldParams, a, b) -> ModuleExpr:
-    if isinstance(a, RProj) or isinstance(b, RProj):
-        lifted = fuse(op.singlet, ModuleExpr.of(lift_atom(op, a)), ModuleExpr.of(lift_atom(op, b)))
-        return induce(op, lifted)
-    if isinstance(a, WSimple) and isinstance(b, WSimple):
-        return _fuse_ww(op, a, b)
-    if isinstance(a, WSimple):
-        return _fuse_wv(op, a, b)
-    if isinstance(b, WSimple):
-        return _fuse_wv(op, b, a)
-    return _fuse_vv(op, a, b)
-
-
 def orbifold_fuse(op: OrbifoldParams, x, y) -> ModuleExpr:
     """Tensor product of orbifold expressions.
 
-    Simple x simple products use the closed formulas with indices reduced
-    mod the orbit lattice; products involving a cover lift to singlet
-    representatives, fuse there, and induce back.
+    Each pair of summands is lifted to its canonical singlet representatives
+    (:func:`lift_atom`), fused there, and induced back.  Induction is a
+    tensor functor, so any other choice of lifts gives the same result.
     """
     return ModuleExpr.combine(
-        (ma * mb, _orbifold_pair(op, a, b))
+        (ma * mb, induce(op, fuse(op.singlet, lift_atom(op, a), lift_atom(op, b))))
         for a, ma, b, mb in term_pairs(x, y, lambda atom: normalize_orbifold_atom(op, atom))
     )
 
@@ -257,46 +221,46 @@ def orbifold_projective_cover(op: OrbifoldParams, w) -> tuple:
 
 def _orbit_lifts(op: OrbifoldParams, atom, depth: int) -> ModuleExpr:
     """All singlet lifts of ``atom`` whose lowest weight lies within
-    ``depth`` of the orbit minimum."""
-    params = op.singlet
-    step = op.r_modulus  # shift of the r index per orbit generator
+    ``depth`` of the orbit minimum.
 
-    if isinstance(atom, VTypical):
-        def member(n):
-            return FockTypical(atom.q + op.q_modulus * n)
-    elif isinstance(atom, WSimple):
-        def member(n):
-            return MSimple(atom.r + step * n, atom.s)
-    else:
-        def member(n):
-            return Proj(atom.r + step * n, atom.s)
+    The lift n orbit steps from the canonical one shifts each composition
+    factor by n steps.  A factor's lowest weight is (v^2 - (p-1)^2) / 4p with
+    v = a + b|c + d*n|: v = |q + p - 1| for F(q), and v = p - s + p|r - 1|
+    for M(r, s).  So a lift is kept iff one of its factors has
+    v^2 <= v0^2 + 4p*depth, where v0 is the least v over the orbit; for each
+    factor that is a window of n, read off exactly with ``math.isqrt``.
+    """
+    p = op.p
+    lift = lift_atom(op, atom)
+    lines = []
+    for factor in k_class(op.singlet, lift).atoms():
+        if isinstance(factor, FockTypical):
+            lines.append((0, 1, factor.q + p - 1, op.q_modulus))
+        else:
+            lines.append((p - factor.s, p, Fraction(factor.r - 1), op.r_modulus))
+    v0 = min(a + b * min(c % d, -c % d) for a, b, c, d in lines)
+    steps = set()
+    for a, b, c, d in lines:
+        # den*(a + b|c + d*n|) is an integer, so it is at most the square
+        # root of den^2 * (v0^2 + 4p*depth) iff it is at most its isqrt.
+        den, num = c.denominator, c.numerator
+        bound = math.floor(den * den * (v0 * v0 + 4 * p * depth))
+        if bound < 0:
+            continue
+        k = (math.isqrt(bound) - den * a) // b  # den*|c + d*n| <= k
+        steps.update(range(-((k + num) // (den * d)), (k - num) // (den * d) + 1))
 
-    def lw(n):
-        return lowest_weight(params, member(n))
+    def member(n):
+        if isinstance(lift, FockTypical):
+            return FockTypical(lift.q + op.q_modulus * n)
+        return type(lift)(lift.r + op.r_modulus * n, lift.s)
 
-    # The weight of each composition factor is a parabola in n; their minimum
-    # is unimodal up to a plateau of bounded width, so expand a window and
-    # keep pushing while within a margin of the best value seen.
-    window = {0: lw(0)}
-    best = window[0]
-    for direction in (1, -1):
-        n = direction
-        misses = 0
-        while misses < 3:
-            window[n] = lw(n)
-            best = min(best, window[n])
-            misses = misses + 1 if window[n] > best + depth else 0
-            n += direction
-    return ModuleExpr([(member(n), 1) for n, w in window.items() if w <= best + depth])
-
-
-def orbifold_char(op: OrbifoldParams, atom, n: int) -> CharacterSum:
-    """Truncated character of an orbifold module: the sum of its singlet
-    lifts' characters over the orbit."""
-    return orbifold_char_expr(op, ModuleExpr.of(atom), n)
+    return ModuleExpr([(member(n), 1) for n in steps])
 
 
 def orbifold_char_expr(op: OrbifoldParams, x, n: int) -> CharacterSum:
+    """Truncated character of an orbifold expression (or of a single label):
+    the sum of the characters of each summand's singlet lifts over its orbit."""
     lifted = ModuleExpr.combine(
         (mult, _orbit_lifts(op, normalize_orbifold_atom(op, atom), n))
         for atom, mult in as_expr(x).terms()

@@ -19,8 +19,9 @@ against the active parameters that reports :class:`ExprSemanticError` with
 the offending atom (s out of range, integral typical coordinates, orbifold
 atoms without m, mixed orbifold/singlet expressions, nonpositive counts).
 
-Canonical printing is ``str()`` of the resulting :class:`ModuleExpr`;
-printing then reparsing is the identity on canonical forms.
+The canonical text form of an expression is ``str()`` of its
+:class:`ModuleExpr`; printing then reparsing is the identity on canonical
+forms.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .modules import FockAtypical, FockTypical, GenVerma, ModuleExpr, MSimple, P
 from .orbifold import OrbifoldParams, RProj, VTypical, WSimple, normalize_orbifold_atom
 from .weights import Params
 
-__all__ = ["parse_expr", "print_expr", "is_orbifold_expr"]
+__all__ = ["parse_expr", "is_orbifold_expr"]
 
 _PAIR_SPECIES = {"M": MSimple, "P": Proj, "Fa": FockAtypical, "G": GenVerma, "W": WSimple, "R": RProj}
 _COORD_SPECIES = {"F": FockTypical, "V": VTypical}
@@ -174,11 +175,6 @@ def parse_expr(text: str, params: Params, op: OrbifoldParams | None = None) -> M
     if len(families) > 1:
         raise ExprSemanticError("cannot mix orbifold and singlet labels in one expression", text.strip())
     return ModuleExpr(terms)
-
-
-def print_expr(expr: ModuleExpr) -> str:
-    """Canonical text form; reparses to an equal expression."""
-    return str(expr)
 
 
 def is_orbifold_expr(expr: ModuleExpr) -> bool:

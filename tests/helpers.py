@@ -1,5 +1,17 @@
 """Shared test helpers."""
 
+from singlet.modules import FockTypical, MSimple, Proj
+from singlet.orbifold import VTypical, WSimple
+
+
+def orbit_lift(op, atom, n):
+    """The singlet lift of an orbifold label n orbit steps from its canonical
+    lift: W(r,s) -> M(r + 2mn, s), R(r,s) -> P(r + 2mn, s), V(q) -> F(q + 2pmn)."""
+    if isinstance(atom, VTypical):
+        return FockTypical(atom.q + n * op.q_modulus)
+    species = MSimple if isinstance(atom, WSimple) else Proj
+    return species(atom.r + n * op.r_modulus, atom.s)
+
 
 def random_expr_text(rng, orbifold=False):
     """Random valid expression text at p = 2 (m = 2 for the orbifold family),

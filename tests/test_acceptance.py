@@ -28,7 +28,7 @@ from singlet.modules import (
     t_grade,
 )
 from singlet.orbifold import OrbifoldParams, induce, is_local, list_simples, orbifold_fuse
-from singlet.parser import parse_expr, print_expr
+from singlet.parser import parse_expr
 from singlet.weights import Params, Weight, allowed_neighbor_weights, conformal_weight, h_rs
 
 
@@ -236,6 +236,6 @@ def test_12_cli_determinism_and_round_trip():
     for i in range(1000):
         text = random_expr_text(rng, orbifold=i % 2 == 1)
         expr = parse_expr(text, params, op)
-        printed = print_expr(expr)
+        printed = str(expr)
         assert parse_expr(printed, params, op) == expr
     report(12, "CLI byte-stable JSON and 1000-expression round trip")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,17 +6,26 @@ import pytest
 from singlet.characters import QSeries, ch_expr
 from singlet.errors import DomainError, NotLocal, UnsupportedSpecies
 from singlet.fusion import fuse
-from singlet.modules import FockAtypical, FockTypical, ModuleExpr, MSimple, Proj, loewy_layers
+from singlet.modules import (
+    FockAtypical,
+    FockTypical,
+    ModuleExpr,
+    MSimple,
+    Proj,
+    loewy_layers,
+    lowest_weight,
+)
 from singlet.orbifold import (
     OrbifoldParams,
     RProj,
     VTypical,
     WSimple,
+    _orbit_lifts,
     induce,
     is_local,
     lift_atom,
     list_simples,
-    orbifold_char,
+    orbifold_char_expr,
     orbifold_fuse,
     orbifold_projective_cover,
     r_proj,
@@ -23,6 +33,8 @@ from singlet.orbifold import (
     w_simple,
 )
 from singlet.weights import Params
+
+from helpers import orbit_lift
 
 
 @pytest.fixture
@@ -171,28 +183,42 @@ def test_cover_layers_match_induced_projective(op21, op22):
 
 
 def test_orbifold_char_examples(op21, op22):
-    got = orbifold_char(op21, WSimple(1, 1), 3)
+    got = orbifold_char_expr(op21, WSimple(1, 1), 3)
     assert got.series() == [QSeries(0, (1, 0, 1, 4))]
-    got = orbifold_char(op22, VTypical(Fraction(1, 2)), 2)
+    got = orbifold_char_expr(op22, VTypical(Fraction(1, 2)), 2)
     assert got.series() == [QSeries(Fraction(5, 32), (1, 1, 2))]
 
 
-def test_orbifold_char_matches_brute_force_window(op21, op22):
-    params = Params(2)
-    for op in (op21, op22):
-        for atom in list_simples(op):
-            brute = ModuleExpr()
-            for n in range(-8, 9):
-                if isinstance(atom, WSimple):
-                    brute = brute + ModuleExpr.of(MSimple(atom.r + op.r_modulus * n, atom.s))
-                else:
-                    brute = brute + ModuleExpr.of(FockTypical(atom.q + op.q_modulus * n))
-            assert orbifold_char(op, atom, 12) == ch_expr(params, brute, 12)
+def test_orbifold_char_matches_brute_force_window():
+    for p, m in ((2, 1), (2, 2), (3, 2), (3, 3)):
+        op = OrbifoldParams(p, m)
+        covers = [RProj(r, s) for r in range(op.r_modulus) for s in range(1, p)]
+        for atom in list_simples(op) + covers:
+            brute = ModuleExpr.of(*(orbit_lift(op, atom, n) for n in range(-8, 9)))
+            assert orbifold_char_expr(op, atom, 12) == ch_expr(op.singlet, brute, 12)
+
+
+def test_orbit_lifts_match_brute_force_scan():
+    # The exact window against a scan of n in [-400, 400] with the minimum
+    # taken over the scan, on a seeded sample of (p, m, label, depth).
+    cases = []
+    for p in range(2, 7):
+        for m in range(1, 5):
+            op = OrbifoldParams(p, m)
+            covers = [RProj(r, s) for r in range(op.r_modulus) for s in range(1, p)]
+            for atom in list_simples(op) + covers:
+                cases += [(op, atom, depth) for depth in (0, 1, 5, 40, 300)]
+    for op, atom, depth in random.Random(11).sample(cases, 50):
+        lifts = [orbit_lift(op, atom, n) for n in range(-400, 401)]
+        weights = [lowest_weight(op.singlet, lift) for lift in lifts]
+        best = min(weights)
+        brute = ModuleExpr.of(*(lift for lift, w in zip(lifts, weights) if w <= best + depth))
+        assert _orbit_lifts(op, atom, depth) == brute, (op, atom, depth)
 
 
 def test_orbifold_char_of_cover(op21):
     # The cover's orbit character equals the induced projective's lift sum.
-    got = orbifold_char(op21, RProj(1, 1), 4)
+    got = orbifold_char_expr(op21, RProj(1, 1), 4)
     brute = ModuleExpr()
     for n in range(-6, 7):
         brute = brute + ModuleExpr.of(Proj(1 + 2 * n, 1))

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from singlet.checks import SUITE_NAMES
 from singlet.cli import main
 from singlet.errors import ExprSemanticError, ExprSyntaxError
 from singlet.modules import FockTypical, ModuleExpr, MSimple, Proj
 from singlet.orbifold import OrbifoldParams, VTypical, WSimple
-from singlet.parser import parse_expr, print_expr
+from singlet.parser import parse_expr
 from singlet.weights import Params
 
 
@@ -112,9 +113,9 @@ def test_round_trip_corpus(p2):
         orbifold = i % 2 == 1
         text = random_expr_text(rng, orbifold=orbifold)
         expr = parse_expr(text, p2, op)
-        printed = print_expr(expr)
+        printed = str(expr)
         assert parse_expr(printed, p2, op) == expr
-        assert print_expr(parse_expr(printed, p2, op)) == printed
+        assert str(parse_expr(printed, p2, op)) == printed
 
 
 # --- CLI -------------------------------------------------------------------
@@ -215,6 +216,18 @@ def test_cli_check_suite():
     payload = json.loads(out)
     assert payload["ok"] is True
     assert payload["suites"][0]["name"] == "orbifold(m=1)"
+
+
+def test_cli_negative_order_exits_one_for_every_suite(monkeypatch):
+    monkeypatch.delenv("SINGLET_ORDER", raising=False)
+    expected = (1, "", "error: truncation order must be >= 0, got -5\n")
+    assert run_cli("--p", "2", "--order", "-5", "char", "M(1,1)") == expected
+    for suite in SUITE_NAMES + ("all",):
+        assert run_cli("--p", "2", "--order", "-5", "check", "--suite", suite) == expected, suite
+    # check keeps its own default order, 40, and does not read SINGLET_ORDER.
+    monkeypatch.setenv("SINGLET_ORDER", "-5")
+    code, out, _ = run_cli("--p", "2", "check", "--suite", "kring")
+    assert (code, out.splitlines()[-1]) == (0, "PASS")
 
 
 def test_cli_json_byte_stable():

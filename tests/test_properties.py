@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from singlet.fusion import chebyshev_fuse, fuse
 from singlet.modules import FockAtypical, FockTypical, GenVerma, ModuleExpr, MSimple, Proj, k_class
+from singlet.orbifold import OrbifoldParams, induce, orbifold_fuse, r_proj, v_typical, w_simple
 from singlet.weights import Params
+
+from helpers import orbit_lift
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -81,3 +84,29 @@ def test_k_class_is_additive(case):
 def test_chebyshev_oracle_matches_fuse(case):
     params, x, _, y = case
     assert chebyshev_fuse(params, x, y) == fuse(params, x, y)
+
+
+def _orbifold_labels(op: OrbifoldParams):
+    labels = [
+        st.builds(lambda r, s: w_simple(op, r, s), _R, st.integers(1, op.p)),
+        st.builds(lambda r, s: r_proj(op, r, s), _R, st.integers(1, op.p)),
+    ]
+    if op.m > 1:  # V labels need m*q integral and q non-integral
+        q = st.integers(-2 * op.q_modulus, 2 * op.q_modulus).filter(lambda j: j % op.m)
+        labels.append(q.map(lambda j: v_typical(op, Fraction(j, op.m))))
+    return st.one_of(labels)
+
+
+@st.composite
+def orbifold_lift_pairs(draw):
+    op = OrbifoldParams(draw(st.integers(2, 8)), draw(st.integers(1, 4)))
+    labels, shifts = _orbifold_labels(op), st.integers(-3, 3)
+    return op, draw(labels), draw(shifts), draw(labels), draw(shifts)
+
+
+@PROPERTY_SETTINGS
+@given(orbifold_lift_pairs())
+def test_orbifold_fuse_does_not_depend_on_the_lifts(case):
+    op, a, k1, b, k2 = case
+    lifted = fuse(op.singlet, orbit_lift(op, a, k1), orbit_lift(op, b, k2))
+    assert induce(op, lifted) == orbifold_fuse(op, a, b)
