@@ -1,7 +1,9 @@
 """Shared test helpers."""
 
-from singlet.modules import FockTypical, MSimple, Proj
+from singlet.characters import CharacterSum, QSeries, partition_numbers
+from singlet.modules import FockTypical, MSimple, Proj, as_expr, k_class, lowest_weight, normalize_atom
 from singlet.orbifold import VTypical, WSimple
+from singlet.weights import h_rs
 
 
 def orbit_lift(op, atom, n):
@@ -38,3 +40,56 @@ def random_expr_text(rng, orbifold=False):
         pad = rng.choice(["", " ", "  "])
         terms.append(f"{pad}{mult}{atom}{pad}")
     return "+".join(terms)
+
+
+def ch_expr_by_terms(params, x, n):
+    """Oracle for ``characters.ch_expr``: every Fock factor and every
+    embedding-chain term of every summand is summed into the coefficients
+    on its own, term by term, with no numerator shared between them."""
+    by_coset = {}
+    for atom, mult in as_expr(x).terms():
+        atom = normalize_atom(params, atom)
+        lw = lowest_weight(params, atom)
+        by_coset.setdefault(lw % 1, []).append((atom, mult, lw))
+    out = {}
+    for key, atoms in by_coset.items():
+        base = min(lw for _, _, lw in atoms)
+        acc = [0] * (n + 1)
+        for atom, mult, _ in atoms:
+            _add_atom_coeffs(params, atom, mult, base, acc)
+        out[key] = QSeries(base, acc)
+    return CharacterSum(out)
+
+
+def _add_atom_coeffs(params, atom, mult, base, acc):
+    """Add the graded dimensions of ``atom`` into acc[k] ~ weight base + k."""
+    depth = len(acc) - 1
+    p = params.p
+    for factor, fmult in k_class(params, atom).terms():
+        fmult *= mult
+        if isinstance(factor, FockTypical):
+            off = lowest_weight(params, factor) - base
+            if off > depth:
+                continue
+            assert off.denominator == 1 and off >= 0
+            off = int(off)
+            part = partition_numbers(depth - off)
+            for k in range(off, depth + 1):
+                acc[k] += fmult * part[k - off]
+        else:
+            r0 = max(factor.r, 2 - factor.r)
+            s = factor.s
+            i = 0
+            while True:
+                r = r0 + 2 * i
+                off = h_rs(params, r, s) - base
+                if off > depth:
+                    break
+                assert off.denominator == 1 and off >= 0
+                off = int(off)
+                gap = r * p if s == p else r * s
+                part = partition_numbers(depth - off)
+                for k in range(off, depth + 1):
+                    j = k - off
+                    acc[k] += fmult * (part[j] - (part[j - gap] if j >= gap else 0))
+                i += 1

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from singlet import characters
 from singlet.characters import (
     CharacterSum,
     QSeries,
@@ -25,9 +26,44 @@ from singlet.modules import (
 )
 from singlet.weights import Params, h_rs
 
+from helpers import ch_expr_by_terms
+
+
+def _partitions_by_parts(n):
+    """p(0)..p(n) by counting partitions part size by part size."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            counts[k] += counts[k - part]
+    return counts
+
 
 def test_partition_numbers():
     assert partition_numbers(10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    assert partition_numbers(300) == _partitions_by_parts(300)
+    assert partition_numbers(-1) == []
+
+
+def test_partition_numbers_known_values():
+    part = partition_numbers(1000)
+    assert part[100] == 190569292
+    assert part[1000] == 24061467864032622473692149727991
+
+
+def test_partition_cache_extends_exactly(monkeypatch):
+    # From an empty cache, in an order that both grows and reuses it; the
+    # benchmark reads the cache length as a metric.
+    monkeypatch.setattr(characters, "_partitions", [1])
+    full = _partitions_by_parts(1000)
+    for n in (5, 300, 100, 1000):
+        assert partition_numbers(n) == full[: n + 1]
+    assert len(characters._partitions) == 1001
+
+
+def test_deep_character_matches_term_by_term_sum():
+    params = Params(3)
+    x = ModuleExpr.of(Proj(3, 1))
+    assert ch_expr(params, x, 2000) == ch_expr_by_terms(params, x, 2000)
 
 
 def test_eta_inv_series():

@@ -34,7 +34,7 @@ from singlet.orbifold import (
 )
 from singlet.weights import Params
 
-from helpers import orbit_lift
+from helpers import ch_expr_by_terms, orbit_lift
 
 
 @pytest.fixture
@@ -196,6 +196,15 @@ def test_orbifold_char_matches_brute_force_window():
         for atom in list_simples(op) + covers:
             brute = ModuleExpr.of(*(orbit_lift(op, atom, n) for n in range(-8, 9)))
             assert orbifold_char_expr(op, atom, 12) == ch_expr(op.singlet, brute, 12)
+
+
+def test_deep_orbifold_character_matches_term_by_term_sum():
+    op = OrbifoldParams(3, 2)
+    lifts = [orbit_lift(op, RProj(1, 1), n) for n in range(-20, 21)]
+    weights = [lowest_weight(op.singlet, lift) for lift in lifts]
+    assert min(weights[0], weights[-1]) > min(weights) + 1500
+    want = ch_expr_by_terms(op.singlet, ModuleExpr.of(*lifts), 1500)
+    assert orbifold_char_expr(op, RProj(1, 1), 1500) == want
 
 
 def test_orbit_lifts_match_brute_force_scan():

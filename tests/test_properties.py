@@ -1,16 +1,35 @@
-"""Hypothesis properties of products over random direct sums at random p."""
+"""Hypothesis properties of products and characters over random direct sums
+at random p."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singlet.characters import ch_expr
 from singlet.fusion import chebyshev_fuse, fuse
-from singlet.modules import FockAtypical, FockTypical, GenVerma, ModuleExpr, MSimple, Proj, k_class
-from singlet.orbifold import OrbifoldParams, induce, orbifold_fuse, r_proj, v_typical, w_simple
+from singlet.modules import (
+    FockAtypical,
+    FockTypical,
+    GenVerma,
+    ModuleExpr,
+    MSimple,
+    Proj,
+    k_class,
+    lowest_weight,
+)
+from singlet.orbifold import (
+    OrbifoldParams,
+    induce,
+    orbifold_char_expr,
+    orbifold_fuse,
+    r_proj,
+    v_typical,
+    w_simple,
+)
 from singlet.weights import Params
 
-from helpers import orbit_lift
+from helpers import ch_expr_by_terms, orbit_lift
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -55,6 +74,12 @@ def composite_pairs(draw):
     p = draw(st.integers(2, 12))
     exprs = _exprs(_all_atoms(p), 4)
     return Params(p), draw(exprs), draw(exprs)
+
+
+@st.composite
+def character_cases(draw):
+    p = draw(st.integers(2, 8))
+    return Params(p), draw(_exprs(_all_atoms(p), 4)), draw(st.integers(0, 200))
 
 
 @PROPERTY_SETTINGS
@@ -110,3 +135,35 @@ def test_orbifold_fuse_does_not_depend_on_the_lifts(case):
     op, a, k1, b, k2 = case
     lifted = fuse(op.singlet, orbit_lift(op, a, k1), orbit_lift(op, b, k2))
     assert induce(op, lifted) == orbifold_fuse(op, a, b)
+
+
+@PROPERTY_SETTINGS
+@given(character_cases())
+def test_ch_expr_matches_term_by_term_sum(case):
+    params, x, n = case
+    assert ch_expr(params, x, n) == ch_expr_by_terms(params, x, n)
+
+
+ORBIT_REACH = 12
+
+
+@st.composite
+def orbifold_character_cases(draw):
+    op = OrbifoldParams(draw(st.integers(2, 5)), draw(st.integers(1, 4)))
+    terms = st.lists(st.tuples(_orbifold_labels(op), st.integers(1, 3)), min_size=1, max_size=3)
+    return op, ModuleExpr(draw(terms)), draw(st.integers(0, 80))
+
+
+@PROPERTY_SETTINGS
+@given(orbifold_character_cases())
+def test_orbifold_char_expr_matches_lift_window(case):
+    op, x, n = case
+    lifts = []
+    for atom, mult in x.terms():
+        window = [orbit_lift(op, atom, k) for k in range(-ORBIT_REACH, ORBIT_REACH + 1)]
+        # The window reaches past the order: its end lifts lie beyond every
+        # coefficient kept, so no lift that counts is left out.
+        least = min(lowest_weight(op.singlet, lift) for lift in window)
+        assert min(lowest_weight(op.singlet, window[0]), lowest_weight(op.singlet, window[-1])) > least + n
+        lifts += [(lift, mult) for lift in window]
+    assert orbifold_char_expr(op, x, n) == ch_expr_by_terms(op.singlet, ModuleExpr(lifts), n)

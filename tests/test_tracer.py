@@ -1,6 +1,8 @@
 """The benchmark's tracer (``perfbench/tracer.py``) must still see every layer
 when it wraps the program from outside: a dispatch table that held library
-functions itself would bypass the wrapped module attributes and read 0."""
+functions itself would bypass the wrapped module attributes and read 0.  Its
+partition-cache metric reads ``characters._partitions``, which must hold
+exactly p(0)..p(order) after the deepest character."""
 
 import json
 import os
@@ -46,8 +48,11 @@ def test_tracer_counts_every_layer():
         "orbifold.induce",
         "parser.parse_expr",
         "characters.ch_expr",
+        "characters.partition_numbers",
         "cli.run_command",
     ):
         assert calls[name] > 0, name
     assert calls["cli.run_command"] == len(CALLS)
+    orders = [int(argv[argv.index("--order") + 1]) for argv in CALLS if "--order" in argv]
+    assert result["report"]["partition_cache"] == max(orders) + 1
     assert result["report"]["suites"]["oracle"][1] > 0
