@@ -224,7 +224,7 @@ def _suite_oracle(params: Params) -> SuiteResult:
                 fusion.chebyshev_fuse(params, x, y) == fusion.fuse(params, x, y),
                 f"oracle disagreement at {label(x)}, {label(y)}",
             )
-    pairing = ModuleExpr([(fusion._proj_or_simple(p, 1, s), 1) for s in range(1, p + 1, 2)])
+    pairing = ModuleExpr([(modules.normalize_atom(params, Proj(1, s)), 1) for s in range(1, p + 1, 2)])
     for q in _TYPICAL_COORDS:
         res.check(
             fusion.fuse(params, FockTypical(q), FockTypical(2 - 2 * p - q)) == pairing,

@@ -4,7 +4,8 @@ The four closed-form rules cover simple x simple, simple x typical,
 projective x typical, and typical x typical.  Products of a projective
 with a simple or another projective are not closed-form; they are obtained
 by multiplying in the Grothendieck ring and inverting the (injective)
-projective-to-K-class map, which is a banded integer linear system.
+projective-to-K-class map, which is triangular in the label order and so
+is undone by a top-down peel.
 
 :func:`chebyshev_fuse` is an independent derivation path used as an oracle:
 it reduces every product to the degenerate-field recursion
@@ -31,7 +32,7 @@ from .modules import (
     sort_key,
     term_pairs,
 )
-from .weights import Params, Weight
+from .weights import Params
 
 __all__ = [
     "fuse",
@@ -45,16 +46,8 @@ __all__ = [
 ]
 
 
-def _coord(q) -> Fraction:
-    if isinstance(q, Weight):
-        return q.q
-    if isinstance(q, FockTypical):
-        return q.q
-    return Fraction(q)
-
-
 def _typical_coord(q) -> Fraction:
-    q = _coord(q)
+    q = Fraction(q)
     if q.denominator == 1:
         raise NotTypical(f"coordinate {q} is integral, not typical")
     return q
@@ -130,82 +123,65 @@ def fuse_typical_typical(params: Params, q, q2) -> ModuleExpr:
     return ModuleExpr(terms)
 
 
+# The closed-form rule of each canonical species pair (MSimple <= FockTypical
+# <= Proj).  The entries look the rules up as module globals when called, so
+# a wrapper installed on a module attribute sees every call.
+_CLOSED_FORMS = {
+    (MSimple, MSimple): lambda params, a, b: fuse_simple_simple_atypical(params, a.r, a.s, b.r, b.s),
+    (MSimple, FockTypical): lambda params, a, b: fuse_simple_typical(params, a.r, a.s, b.q),
+    (FockTypical, FockTypical): lambda params, a, b: fuse_typical_typical(params, a.q, b.q),
+    (FockTypical, Proj): lambda params, a, b: fuse_proj_typical(params, b.r, b.s, a.q),
+}
+
+
 def k_product(params: Params, a, b) -> ModuleExpr:
-    """Grothendieck-ring product of two K-classes (bilinear over simples)."""
+    """Grothendieck-ring product of two K-classes (bilinear over simples).
+
+    A simple times a typical is a sum of typicals, already its own K-class."""
     ka, kb = k_class(params, a).terms(), k_class(params, b).terms()
-    return ModuleExpr.combine(
-        (mx * my, _k_simple_pair(params, x, y)) for x, mx in ka for y, my in kb
-    )
-
-
-def _k_simple_pair(params: Params, x, y) -> ModuleExpr:
-    if isinstance(x, FockTypical) and isinstance(y, FockTypical):
-        return k_class(params, fuse_typical_typical(params, x.q, y.q))
-    if isinstance(x, FockTypical):
-        x, y = y, x
-    if isinstance(y, FockTypical):
-        return fuse_simple_typical(params, x.r, x.s, y.q)
-    return k_class(params, fuse_simple_simple_atypical(params, x.r, x.s, y.r, y.s))
-
-
-def _chain_id(p: int, r: int, s: int):
-    """Chain of labels coupled by the projective-to-K-class band matrix.
-
-    Neighbours of (r, s) are (r +- 1, p - s); a chain is labelled by the
-    smaller of {s, p-s} plus the parity anchoring which r carry which s.
-    """
-    s0 = min(s, p - s)
-    if s0 == p - s0:
-        return (s0, -1)
-    anchor = r % 2 if s == s0 else (r + 1) % 2
-    return (s0, anchor)
-
-
-def _chain_s_at(p: int, chain, j: int) -> int:
-    s0, anchor = chain
-    if anchor == -1:
-        return s0
-    return s0 if j % 2 == anchor else p - s0
+    pieces = []
+    for x, mx in ka:
+        for y, my in kb:
+            lo, hi = (x, y) if x._RANK <= y._RANK else (y, x)
+            product = _CLOSED_FORMS[type(lo), type(hi)](params, lo, hi)
+            if type(x) is type(y):
+                product = k_class(params, product)
+            pieces.append((mx * my, product))
+    return ModuleExpr.combine(pieces)
 
 
 def projective_decompose(params: Params, k) -> ModuleExpr:
     """Invert the K-class map on direct sums of indecomposable projectives.
 
-    Typical and s = p labels are read off directly; the remaining atypical
-    multiplicities solve c[j] = 2n[j] + n[j-1] + n[j+1] along each chain by
-    forward substitution, verified for integrality and nonnegativity.
+    Typical and s = p labels are read off directly.  For s < p, the class
+    2 M(r,s) + M(r-1,p-s) + M(r+1,p-s) of P(r,s) has the largest label
+    M(r+1,p-s) in (r, s) order, and no other projective has that largest
+    label.  So the remaining labels are peeled from the top down: the count
+    c of the largest remaining label M(r,s) fixes c P(r-1,p-s), whose class
+    is subtracted, which clears M(r,s) itself.  A count that would go
+    negative raises NotProjectiveClass.
     """
     p = params.p
     out: list = []
-    chains: dict = {}
+    rest: dict = {}
     for atom, mult in as_expr(k).terms():
         atom = normalize_atom(params, atom)
-        if isinstance(atom, FockTypical):
+        if isinstance(atom, FockTypical) or (isinstance(atom, MSimple) and atom.s == p):
             out.append((atom, mult))
         elif isinstance(atom, MSimple):
-            if atom.s == p:
-                out.append((atom, mult))
-            else:
-                chains.setdefault(_chain_id(p, atom.r, atom.s), {})[atom.r] = mult
+            rest[atom.r, atom.s] = mult
         else:
             raise DomainError(f"K-class must contain only simple labels, got {label(atom)}")
-    for chain, c in chains.items():
-        lo, hi = min(c), max(c)
-        if hi - lo < 2:
-            raise NotProjectiveClass(f"isolated composition factors around r={lo}")
-        n = {lo + 1: c[lo]}
-        for j in range(lo + 1, hi - 1):
-            n[j + 1] = c.get(j, 0) - 2 * n.get(j, 0) - n.get(j - 1, 0)
-        ok = (
-            all(v >= 0 for v in n.values())
-            and c.get(hi - 1, 0) == 2 * n.get(hi - 1, 0) + n.get(hi - 2, 0)
-            and c.get(hi, 0) == n.get(hi - 1, 0)
-        )
-        if not ok:
-            raise NotProjectiveClass("no nonnegative integer projective decomposition")
-        for j, mult in n.items():
-            if mult:
-                out.append((Proj(j, _chain_s_at(p, chain, j)), mult))
+    for r, s in sorted(rest, reverse=True):
+        c = rest[r, s]
+        if not c:
+            continue
+        out.append((Proj(r - 1, p - s), c))
+        for key, n in (((r, s), c), ((r - 1, p - s), 2 * c), ((r - 2, s), c)):
+            left = rest.get(key, 0) - n
+            if left < 0:
+                raise NotProjectiveClass("no nonnegative integer projective decomposition")
+            rest[key] = left
     return ModuleExpr(out)
 
 
@@ -223,14 +199,9 @@ def _fusable(params: Params, atom):
 @lru_cache(maxsize=None)
 def _fuse_atoms(params: Params, a, b) -> ModuleExpr:
     # Canonical argument order: MSimple <= FockTypical <= Proj.
-    if isinstance(a, MSimple) and isinstance(b, MSimple):
-        return fuse_simple_simple_atypical(params, a.r, a.s, b.r, b.s)
-    if isinstance(a, MSimple) and isinstance(b, FockTypical):
-        return fuse_simple_typical(params, a.r, a.s, b.q)
-    if isinstance(a, FockTypical) and isinstance(b, Proj):
-        return fuse_proj_typical(params, b.r, b.s, a.q)
-    if isinstance(a, FockTypical) and isinstance(b, FockTypical):
-        return fuse_typical_typical(params, a.q, b.q)
+    rule = _CLOSED_FORMS.get((type(a), type(b)))
+    if rule is not None:
+        return rule(params, a, b)
     # Proj against MSimple or Proj: solve in the Grothendieck ring.  The
     # product of a projective with anything is projective, and projectives
     # are determined by their K-class.

@@ -1,7 +1,20 @@
 """Shared test helpers."""
 
+from fractions import Fraction
+
 from singlet.characters import CharacterSum, QSeries, partition_numbers
-from singlet.modules import FockTypical, MSimple, Proj, as_expr, k_class, lowest_weight, normalize_atom
+from singlet.errors import DomainError, NotProjectiveClass
+from singlet.modules import (
+    FockTypical,
+    ModuleExpr,
+    MSimple,
+    Proj,
+    as_expr,
+    k_class,
+    label,
+    lowest_weight,
+    normalize_atom,
+)
 from singlet.orbifold import VTypical, WSimple
 from singlet.weights import h_rs
 
@@ -93,3 +106,86 @@ def _add_atom_coeffs(params, atom, mult, base, acc):
                     j = k - off
                     acc[k] += fmult * (part[j] - (part[j - gap] if j >= gap else 0))
                 i += 1
+
+
+def projective_decompose_by_chains(params, k):
+    """Oracle for ``fusion.projective_decompose``: the banded solver.
+
+    The class map couples (r, s) with (r +- 1, p - s), so the s < p labels
+    split into chains, along each of which the multiplicities n[j] of the
+    projectives solve c[j] = 2n[j] + n[j-1] + n[j+1].  They are found by
+    forward substitution from the lowest label and checked for
+    nonnegativity and against the two top equations."""
+    p = params.p
+    out = []
+    chains = {}
+    for atom, mult in as_expr(k).terms():
+        atom = normalize_atom(params, atom)
+        if isinstance(atom, FockTypical) or (isinstance(atom, MSimple) and atom.s == p):
+            out.append((atom, mult))
+        elif isinstance(atom, MSimple):
+            chains.setdefault(_chain_id(p, atom.r, atom.s), {})[atom.r] = mult
+        else:
+            raise DomainError(f"K-class must contain only simple labels, got {label(atom)}")
+    for chain, c in chains.items():
+        lo, hi = min(c), max(c)
+        if hi - lo < 2:
+            raise NotProjectiveClass(f"isolated composition factors around r={lo}")
+        n = {lo + 1: c[lo]}
+        for j in range(lo + 1, hi - 1):
+            n[j + 1] = c.get(j, 0) - 2 * n.get(j, 0) - n.get(j - 1, 0)
+        ok = (
+            all(v >= 0 for v in n.values())
+            and c.get(hi - 1, 0) == 2 * n.get(hi - 1, 0) + n.get(hi - 2, 0)
+            and c.get(hi, 0) == n.get(hi - 1, 0)
+        )
+        if not ok:
+            raise NotProjectiveClass("no nonnegative integer projective decomposition")
+        for j, mult in n.items():
+            if mult:
+                out.append((Proj(j, _chain_s_at(p, chain, j)), mult))
+    return ModuleExpr(out)
+
+
+def _chain_id(p, r, s):
+    """A chain is labelled by the smaller of {s, p-s} plus the parity of r
+    that carries it (-1 when s = p - s, which every r carries)."""
+    s0 = min(s, p - s)
+    if s0 == p - s0:
+        return (s0, -1)
+    return (s0, r % 2 if s == s0 else (r + 1) % 2)
+
+
+def _chain_s_at(p, chain, j):
+    s0, anchor = chain
+    if anchor == -1:
+        return s0
+    return s0 if j % 2 == anchor else p - s0
+
+
+def laurent_image(params, x):
+    """The K-class of ``x`` as a Laurent polynomial ``{Fraction exponent: int}``.
+
+    M(r,s) -> x^(p(r-1)) (x^(1-s) + x^(3-s) + ... + x^(s-1)) and
+    F(q) -> x^(q+p-1) (x^(1-p) + ... + x^(p-1)): the weight characters of the
+    unrolled quantum group behind the false-theta Verlinde formula.  The map
+    is injective and multiplicative, and it does not use any fusion rule."""
+    p = params.p
+    out = {}
+    for atom, mult in k_class(params, x).terms():
+        if isinstance(atom, FockTypical):
+            centre, width = atom.q + p - 1, p
+        else:
+            centre, width = Fraction(p * (atom.r - 1)), atom.s
+        for k in range(1 - width, width, 2):
+            out[centre + k] = out.get(centre + k, 0) + mult
+    return out
+
+
+def laurent_product(f, g):
+    """Product of two Laurent polynomials ``{exponent: coefficient}``."""
+    out = {}
+    for e, a in f.items():
+        for e2, b in g.items():
+            out[e + e2] = out.get(e + e2, 0) + a * b
+    return out

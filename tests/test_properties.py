@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlet.characters import ch_expr
-from singlet.fusion import chebyshev_fuse, fuse
+from singlet.errors import SingletError
+from singlet.fusion import chebyshev_fuse, fuse, k_product, projective_decompose
 from singlet.modules import (
     FockAtypical,
     FockTypical,
@@ -29,7 +30,13 @@ from singlet.orbifold import (
 )
 from singlet.weights import Params
 
-from helpers import ch_expr_by_terms, orbit_lift
+from helpers import (
+    ch_expr_by_terms,
+    laurent_image,
+    laurent_product,
+    orbit_lift,
+    projective_decompose_by_chains,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -109,6 +116,53 @@ def test_k_class_is_additive(case):
 def test_chebyshev_oracle_matches_fuse(case):
     params, x, _, y = case
     assert chebyshev_fuse(params, x, y) == fuse(params, x, y)
+
+
+@st.composite
+def fusable_atom_pairs(draw):
+    p = draw(st.integers(2, 12))
+    atoms = _fusable_atoms(p)
+    return Params(p), draw(atoms), draw(atoms)
+
+
+@PROPERTY_SETTINGS
+@given(fusable_atom_pairs())
+def test_laurent_image_is_multiplicative(case):
+    # The expectation goes through no fusion rule, so unlike the kring suite
+    # this is not circular for P x M and P x P.
+    params, x, y = case
+    expected = laurent_product(laurent_image(params, x), laurent_image(params, y))
+    assert laurent_image(params, fuse(params, x, y)) == expected
+    assert laurent_image(params, k_product(params, k_class(params, x), k_class(params, y))) == expected
+
+
+@st.composite
+def projective_classes(draw):
+    """K-classes of random projective sums, half of them with one more simple."""
+    p = draw(st.integers(2, 12))
+    projectives = st.one_of(
+        st.builds(Proj, _R, st.integers(1, p - 1)),
+        st.builds(MSimple, _R, st.just(p)),
+        _TYPICAL,
+    )
+    k = k_class(Params(p), draw(_exprs(projectives, 4)))
+    if draw(st.booleans()):
+        k = k + ModuleExpr.of(draw(st.builds(MSimple, _R, st.integers(1, p))))
+    return Params(p), k
+
+
+def _outcome(solver, params, k):
+    try:
+        return solver(params, k)
+    except SingletError as exc:
+        return type(exc)
+
+
+@PROPERTY_SETTINGS
+@given(projective_classes())
+def test_projective_decompose_matches_chain_solver(case):
+    params, k = case
+    assert _outcome(projective_decompose, params, k) == _outcome(projective_decompose_by_chains, params, k)
 
 
 def _orbifold_labels(op: OrbifoldParams):

@@ -44,6 +44,8 @@ def test_tracer_counts_every_layer():
     calls = result["report"]["calls"]
     for name in (
         "fusion.fuse",
+        "fusion.k_product",
+        "fusion.projective_decompose",
         "orbifold.orbifold_fuse",
         "orbifold.induce",
         "parser.parse_expr",
