@@ -306,10 +306,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         output, code = run_command(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SingletError as exc:
+    except (_UsageError, SingletError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - invariant violations

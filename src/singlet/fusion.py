@@ -53,11 +53,6 @@ def _typical_coord(q) -> Fraction:
     return q
 
 
-def _proj_or_simple(p: int, r: int, s: int):
-    """P(r,s), rewritten as the simple projective M(r,p) when s = p."""
-    return MSimple(r, p) if s == p else Proj(r, s)
-
-
 def _check_s(p: int, s: int, what: str, top: int | None = None):
     top = p if top is None else top
     if not 1 <= s <= top:
@@ -74,7 +69,7 @@ def fuse_simple_simple_atypical(params: Params, r: int, s: int, r2: int, s2: int
     simple = range(abs(s - s2) + 1, min(s + s2 - 1, 2 * p - 1 - s - s2) + 1, 2)
     projective = range(2 * p + 1 - s - s2, p + 1, 2)
     terms = [(MSimple(rr, l), 1) for l in simple]
-    terms += [(_proj_or_simple(p, rr, l), 1) for l in projective]
+    terms += [(normalize_atom(params, Proj(rr, l)), 1) for l in projective]
     return ModuleExpr(terms)
 
 
@@ -118,8 +113,8 @@ def fuse_typical_typical(params: Params, q, q2) -> ModuleExpr:
     n = int(total) - (2 - 2 * p)
     r = -(-n // p) + 1
     s = p * (r - 1) - n + 1
-    terms = [(_proj_or_simple(p, r, s2), 1) for s2 in range(s, p + 1, 2)]
-    terms += [(_proj_or_simple(p, r - 1, s2), 1) for s2 in range(p + 2 - s, p + 1, 2)]
+    terms = [(normalize_atom(params, Proj(r, s2)), 1) for s2 in range(s, p + 1, 2)]
+    terms += [(normalize_atom(params, Proj(r - 1, s2)), 1) for s2 in range(p + 2 - s, p + 1, 2)]
     return ModuleExpr(terms)
 
 
@@ -245,7 +240,7 @@ def _m12_atom(params: Params, atom) -> ModuleExpr:
         return ModuleExpr.of(FockTypical(atom.q - 1), FockTypical(atom.q + 1))
     if isinstance(atom, MSimple):
         if atom.s == p:
-            return ModuleExpr.of(_proj_or_simple(p, atom.r, p - 1))
+            return ModuleExpr.of(normalize_atom(params, Proj(atom.r, p - 1)))
         return ModuleExpr.of(
             *(MSimple(atom.r, s2) for s2 in (atom.s - 1, atom.s + 1) if 1 <= s2 <= p)
         )

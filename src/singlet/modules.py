@@ -9,7 +9,9 @@ Species
 * ``GenVerma(r, s)``      generalized Verma quotient (structural species)
 
 ``Proj(r, p)`` and ``FockAtypical(r, p)`` are never stored; the label
-conventions collapse both to ``MSimple(r, p)`` (see :func:`normalize_atom`).
+conventions collapse both to ``MSimple(r, p)`` in :func:`normalize_atom` only.
+The socle series of each species, the Verma socle cases included, is stated
+once, in ``_layers``; K-classes, Loewy layers and Verma factors read it.
 
 A :class:`ModuleExpr` is a finite multiset of labels with positive integer
 multiplicities.  K-classes (multisets of composition factors) reuse the same
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import ClassVar, Union
 
 from .errors import DomainError, NonSemisimpleTwist, UnsupportedSpecies
@@ -325,43 +328,44 @@ def dual(params: Params, x) -> ModuleExpr:
     return as_expr(x).map_atoms(lambda a: dual_atom(params, normalize_atom(params, a)))
 
 
-def verma_quotient_factors(params: Params, r: int, s: int) -> ModuleExpr:
-    """Composition factors of the generalized Verma quotient at (r, s).
+def _layers(p: int, atom) -> tuple:
+    """Socle series of a normalized atom, top layer first, socle last; the
+    layers are not sorted.  The one statement of each species' structure:
 
-    Top factor M(r,s); socle M(r+1,p-s) for r > 1, M(0,p-s) + M(2,p-s) for
-    r = 1, M(r-1,p-s) for r < 1.  For s = p the module is simple.
+    * M(r,s), F(q): simple;
+    * Fa(r,s): M(r+1,p-s) over M(r,s);
+    * P(r,s): M(r,s) over M(r-1,p-s) + M(r+1,p-s) over M(r,s);
+    * G(r,s): M(r,s) over M(r+1,p-s) for r > 1, M(0,p-s) + M(2,p-s) for
+      r = 1, M(r-1,p-s) for r < 1; simple for s = p.
     """
-    p = params.p
-    if not 1 <= s <= p:
-        raise DomainError(f"verma quotient needs 1 <= s <= {p}, got s={s}")
-    if s == p:
-        return ModuleExpr.of(MSimple(r, p))
-    if r > 1:
-        return ModuleExpr.of(MSimple(r, s), MSimple(r + 1, p - s))
-    if r < 1:
-        return ModuleExpr.of(MSimple(r, s), MSimple(r - 1, p - s))
-    return ModuleExpr.of(MSimple(1, s), MSimple(0, p - s), MSimple(2, p - s))
+    if isinstance(atom, (MSimple, FockTypical)):
+        return ((atom,),)
+    r, s = atom.r, atom.s
+    top = MSimple(r, s)
+    if isinstance(atom, GenVerma) and s == p:
+        return ((top,),)
+    below, above = MSimple(r - 1, p - s), MSimple(r + 1, p - s)
+    if isinstance(atom, Proj):
+        return (top,), (below, above), (top,)
+    if isinstance(atom, FockAtypical):
+        return (above,), (top,)
+    return (top,), (above,) if r > 1 else (below,) if r < 1 else (below, above)
+
+
+def verma_quotient_factors(params: Params, r: int, s: int) -> ModuleExpr:
+    """Composition factors of the generalized Verma quotient G(r, s)."""
+    if not 1 <= s <= params.p:
+        raise DomainError(f"verma quotient needs 1 <= s <= {params.p}, got s={s}")
+    return k_class(params, GenVerma(r, s))
 
 
 def k_class(params: Params, x) -> ModuleExpr:
     """Multiset of composition factors (Grothendieck-group element)."""
     p = params.p
-    pieces = []
-    for atom, mult in as_expr(x).terms():
-        atom = normalize_atom(params, atom)
-        if isinstance(atom, (MSimple, FockTypical)):
-            factors = ModuleExpr.of(atom)
-        elif isinstance(atom, FockAtypical):
-            factors = ModuleExpr.of(MSimple(atom.r, atom.s), MSimple(atom.r + 1, p - atom.s))
-        elif isinstance(atom, Proj):
-            simple = MSimple(atom.r, atom.s)
-            factors = ModuleExpr.of(
-                simple, simple, MSimple(atom.r - 1, p - atom.s), MSimple(atom.r + 1, p - atom.s)
-            )
-        else:
-            factors = verma_quotient_factors(params, atom.r, atom.s)
-        pieces.append((mult, factors))
-    return ModuleExpr.combine(pieces)
+    return ModuleExpr.combine(
+        (mult, ModuleExpr.of(*chain.from_iterable(_layers(p, normalize_atom(params, atom)))))
+        for atom, mult in as_expr(x).terms()
+    )
 
 
 def loewy_layers(params: Params, atom) -> list[list[Indecomposable]]:
@@ -370,24 +374,7 @@ def loewy_layers(params: Params, atom) -> list[list[Indecomposable]]:
     Simple species give a single layer.  Layers are canonically sorted lists;
     repeated entries record multiplicities.
     """
-    atom = normalize_atom(params, atom)
-    p = params.p
-    if isinstance(atom, (MSimple, FockTypical)):
-        return [[atom]]
-    if isinstance(atom, FockAtypical):
-        return [[MSimple(atom.r + 1, p - atom.s)], [MSimple(atom.r, atom.s)]]
-    if isinstance(atom, Proj):
-        middle = sorted(
-            [MSimple(atom.r - 1, p - atom.s), MSimple(atom.r + 1, p - atom.s)], key=sort_key
-        )
-        return [[MSimple(atom.r, atom.s)], middle, [MSimple(atom.r, atom.s)]]
-    if atom.s == p:
-        return [[MSimple(atom.r, p)]]
-    socle = verma_quotient_factors(params, atom.r, atom.s).subtract(
-        ModuleExpr.of(MSimple(atom.r, atom.s))
-    )
-    flat = [a for a, m in socle.terms() for _ in range(m)]
-    return [[MSimple(atom.r, atom.s)], flat]
+    return [sorted(layer, key=sort_key) for layer in _layers(params.p, normalize_atom(params, atom))]
 
 
 def lowest_weight(params: Params, atom) -> Fraction:

@@ -18,7 +18,7 @@ depend on the chosen lifts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
 
@@ -60,20 +60,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OrbifoldParams:
-    """Orbifold parameters: singlet p >= 2 and cyclic order m >= 1."""
+    """Orbifold parameters: singlet p and cyclic order m >= 1.  ``singlet`` is
+    the one :class:`Params` of p, built and checked once; eq/hash/repr use (p, m)."""
 
     p: int
     m: int
+    singlet: Params = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 2:
-            raise DomainError(f"p must be an integer >= 2, got {self.p!r}")
+        object.__setattr__(self, "singlet", Params(self.p))
         if not isinstance(self.m, int) or self.m < 1:
             raise DomainError(f"m must be an integer >= 1, got {self.m!r}")
-
-    @property
-    def singlet(self) -> Params:
-        return Params(self.p)
 
     @property
     def r_modulus(self) -> int:

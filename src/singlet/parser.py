@@ -149,12 +149,7 @@ def _build_atom(head, text, params: Params, op: OrbifoldParams | None):
     if cls in _ORBIFOLD and op is None:
         raise ExprSemanticError("orbifold labels require --m", text)
     try:
-        if cls is FockTypical:
-            atom = FockTypical(args[0])
-        elif cls is VTypical:
-            atom = VTypical(args[0])
-        else:
-            atom = cls(*args)
+        atom = cls(*args)
         if cls in _ORBIFOLD:
             return normalize_orbifold_atom(op, atom)
         return normalize_atom(params, atom)

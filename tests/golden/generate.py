@@ -86,6 +86,8 @@ def _check_cases() -> list[list[str]]:
     out.append(["--p", "2", "--format", "json", "check", "--suite", "oracle"])
     out.append(["--p", "2", "--m", "3", "--format", "json", "check", "--suite", "orbifold"])
     out.append(["--p", "2", "--order", "12", "check", "--suite", "characters"])
+    out.append(["--p", "3", "--format", "json", "check"])
+    out.append(["--p", "3", "--m", "3", "--format", "json", "check", "--suite", "orbifold"])
     return out
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 from singlet.characters import CharacterSum, QSeries, partition_numbers
 from singlet.errors import DomainError, NotProjectiveClass
 from singlet.modules import (
+    FockAtypical,
     FockTypical,
     ModuleExpr,
     MSimple,
@@ -106,6 +107,42 @@ def _add_atom_coeffs(params, atom, mult, base, acc):
                     j = k - off
                     acc[k] += fmult * (part[j] - (part[j - gap] if j >= gap else 0))
                 i += 1
+
+
+def k_class_by_species(params, x):
+    """Oracle for ``modules.k_class``: the composition factors of each species
+    written out case by case, apart from the socle-series table that
+    ``k_class``, ``loewy_layers`` and ``verma_quotient_factors`` share."""
+    p = params.p
+    pieces = []
+    for atom, mult in as_expr(x).terms():
+        atom = normalize_atom(params, atom)
+        if isinstance(atom, (MSimple, FockTypical)):
+            factors = ModuleExpr.of(atom)
+        elif isinstance(atom, FockAtypical):
+            factors = ModuleExpr.of(MSimple(atom.r, atom.s), MSimple(atom.r + 1, p - atom.s))
+        elif isinstance(atom, Proj):
+            simple = MSimple(atom.r, atom.s)
+            factors = ModuleExpr.of(
+                simple, simple, MSimple(atom.r - 1, p - atom.s), MSimple(atom.r + 1, p - atom.s)
+            )
+        else:
+            factors = verma_factors_by_cases(p, atom.r, atom.s)
+        pieces.append((mult, factors))
+    return ModuleExpr.combine(pieces)
+
+
+def verma_factors_by_cases(p, r, s):
+    """Oracle for ``modules.verma_quotient_factors`` at 1 <= s <= p: top M(r,s)
+    over socle M(r+1,p-s) for r > 1, M(0,p-s) + M(2,p-s) for r = 1 and
+    M(r-1,p-s) for r < 1; simple for s = p."""
+    if s == p:
+        return ModuleExpr.of(MSimple(r, p))
+    if r > 1:
+        return ModuleExpr.of(MSimple(r, s), MSimple(r + 1, p - s))
+    if r < 1:
+        return ModuleExpr.of(MSimple(r, s), MSimple(r - 1, p - s))
+    return ModuleExpr.of(MSimple(1, s), MSimple(0, p - s), MSimple(2, p - s))
 
 
 def projective_decompose_by_chains(params, k):

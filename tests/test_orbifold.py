@@ -54,6 +54,19 @@ def test_params_validation():
         OrbifoldParams(2, 0)
 
 
+def test_params_hold_one_singlet_params():
+    op = OrbifoldParams(3, 2)
+    assert op.singlet is op.singlet
+    assert op.singlet == Params(3)
+    assert op == OrbifoldParams(3, 2) and hash(op) == hash(OrbifoldParams(3, 2))
+    assert repr(op) == "OrbifoldParams(p=3, m=2)"
+    with pytest.raises(DomainError) as orbifold_error:
+        OrbifoldParams(1, 2)
+    with pytest.raises(DomainError) as singlet_error:
+        Params(1)
+    assert str(orbifold_error.value) == str(singlet_error.value)
+
+
 @pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2)])
 def test_simple_counts(p, m):
     simples = list_simples(OrbifoldParams(p, m))

@@ -1,7 +1,8 @@
-"""Hypothesis properties of products and characters over random direct sums
-at random p."""
+"""Hypothesis properties of products, structure and characters over random
+direct sums at random p."""
 
 from fractions import Fraction
+from itertools import chain
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,10 @@ from singlet.modules import (
     MSimple,
     Proj,
     k_class,
+    loewy_layers,
     lowest_weight,
+    sort_key,
+    verma_quotient_factors,
 )
 from singlet.orbifold import (
     OrbifoldParams,
@@ -32,10 +36,12 @@ from singlet.weights import Params
 
 from helpers import (
     ch_expr_by_terms,
+    k_class_by_species,
     laurent_image,
     laurent_product,
     orbit_lift,
     projective_decompose_by_chains,
+    verma_factors_by_cases,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -116,6 +122,35 @@ def test_k_class_is_additive(case):
 def test_chebyshev_oracle_matches_fuse(case):
     params, x, _, y = case
     assert chebyshev_fuse(params, x, y) == fuse(params, x, y)
+
+
+@st.composite
+def structure_cases(draw):
+    """Random sums of M/P/Fa/G/F labels, s = p and G(0..2, s) drawn often."""
+    p = draw(st.integers(2, 12))
+    r, s = st.integers(-6, 6), st.one_of(st.just(p), st.integers(1, p))
+    atoms = st.one_of(
+        st.builds(MSimple, r, s),
+        st.builds(Proj, r, s),
+        st.builds(FockAtypical, r, s),
+        st.builds(GenVerma, st.one_of(st.integers(0, 2), r), s),
+        _TYPICAL,
+    )
+    return Params(p), draw(_exprs(atoms, 4))
+
+
+@PROPERTY_SETTINGS
+@given(structure_cases())
+def test_structure_matches_species_oracle(case):
+    params, x = case
+    assert k_class(params, x) == k_class_by_species(params, x)
+    for atom in x.atoms():
+        layers = loewy_layers(params, atom)
+        assert all(layer == sorted(layer, key=sort_key) for layer in layers)
+        assert ModuleExpr.of(*chain.from_iterable(layers)) == k_class_by_species(params, atom)
+        if isinstance(atom, GenVerma):
+            expected = verma_factors_by_cases(params.p, atom.r, atom.s)
+            assert verma_quotient_factors(params, atom.r, atom.s) == expected
 
 
 @st.composite
