@@ -4,15 +4,15 @@ A :class:`QSeries` is a leading exponent plus an integer coefficient vector;
 a :class:`CharacterSum` groups series by the fractional part of the leading
 exponent, for expressions whose summands live in different weight cosets.
 
-Every character is one sparse integer numerator times the partition series
-1/prod(1 - q^k) per weight coset.  A Fock factor is one shifted partition
-series, a single monomial.  An atypical simple is the alternating sum over
-its linear embedding chain, truncated where the quadratic weight growth
-leaves the window: the Virasoro irreducible at (r, s) gives q^h (1 - q^gap).
-Composite species use their composition factors.  :func:`ch_expr` adds the
-monomials of all summands into one numerator, where equal offsets merge or
-cancel, and then builds each coefficient once.  Partition numbers come from
-a cache extended in blocks.  Everything is exact integer arithmetic.
+A character is additive on composition factors, so it is read off the
+K-class: per weight coset, one sparse integer numerator times the partition
+series 1/prod(1 - q^k).  A Fock factor is a single monomial.  An atypical
+simple is the alternating sum over its linear embedding chain, truncated
+where the quadratic weight growth leaves the window: the Virasoro
+irreducible at (r, s) gives q^h (1 - q^gap).  Equal offsets merge or cancel
+in the numerator, and each of its terms then adds one shifted partition
+series.  Partition numbers come from a cache extended in blocks.
+Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, sub
 
 from .errors import DomainError
-from .modules import FockTypical, ModuleExpr, as_expr, k_class, lowest_weight, normalize_atom
+from .modules import FockTypical, ModuleExpr, k_class, lowest_weight
 from .weights import Params, h_rs
 
 __all__ = [
@@ -151,19 +151,15 @@ def eta_inv_series(n: int) -> QSeries:
 def _times_partitions(numerator: dict, n: int) -> list:
     """Coefficients 0..n of sum_o c_o q^o / prod_k (1 - q^k).
 
-    ``numerator`` maps offsets o to integers c_o, with at least one nonzero
-    c_o at an offset o <= n; offsets beyond n and zero coefficients are
-    dropped.  Each coefficient is built once, as the sum of c_o * p(k - o)
-    over the offsets o <= k.
+    ``numerator`` maps offsets o >= 0 to integers c_o.  Each term with
+    o <= n adds c_o times the partition series, shifted by o, in one slice;
+    offsets beyond n and zero coefficients add nothing.
     """
-    terms = sorted((o, c) for o, c in numerator.items() if o <= n and c)
-    get = partition_numbers(n - terms[0][0]).__getitem__
-    acc = [0] * terms[0][0]
-    offsets, coeffs = [], []
-    for (lo, c), (hi, _) in zip(terms, terms[1:] + [(n + 1, 0)]):
-        offsets.append(lo)
-        coeffs.append(c)
-        acc.extend(sum(map(mul, coeffs, map(get, map(k.__sub__, offsets)))) for k in range(lo, hi))
+    part = partition_numbers(n)
+    acc = [0] * (n + 1)
+    for o, c in numerator.items():
+        if o <= n and c:
+            acc[o:] = map(add, acc[o:], map(c.__mul__, part))
     return acc
 
 
@@ -186,63 +182,51 @@ def ch_vir_irr(params: Params, r: int, s: int, n: int) -> QSeries:
     return QSeries(h_rs(params, r, s), _times_partitions({0: 1, _gap(params, r, s): -1}, n))
 
 
-def _add_numerator(params: Params, atom, mult: int, base: Fraction, n: int, numerator: dict):
-    """Add ``mult`` times the character numerator of ``atom`` into
-    ``numerator``, as offsets above the weight ``base``, up to offset n.
+def _add_numerator(params: Params, factor, mult: int, off: int, n: int, numerator: dict):
+    """Add ``mult`` times the numerator of one simple factor, whose lowest
+    weight is ``off`` above its coset's base, into ``numerator`` up to n.
 
-    A Fock factor contributes +1 at its lowest weight.  An atypical simple
-    is the alternating sum over its embedding chain: the Virasoro
-    irreducible at (r, s) contributes +1 at h_{r,s} and -1 at h_{r,s} + gap.
+    A Fock factor is +mult at ``off``.  An atypical simple walks its
+    embedding chain r = r0, r0 + 2, ... from r0 = max(r, 2 - r): the
+    Virasoro irreducible at (r, s) is +mult at h_{r,s}, -mult gap above.
     """
-    p4 = 4 * params.p
-    get = numerator.get
-    for factor, fmult in k_class(params, atom).terms():
-        fmult *= mult
-        if isinstance(factor, FockTypical):
-            off = lowest_weight(params, factor) - base
-            if off <= n:
-                assert off.denominator == 1 and off >= 0
-                off = int(off)
-                numerator[off] = get(off, 0) + fmult
-            continue
-        # 4p * (h_{r,s} - base) = (pr - s)^2 - shift, a multiple of 4p.
-        shift = (params.p - 1) ** 2 + p4 * base
-        assert shift.denominator == 1
-        shift, limit, s = int(shift), p4 * n, factor.s
-        r = max(factor.r, 2 - factor.r)
-        while (v := (params.p * r - s) ** 2 - shift) <= limit:
-            off, rem = divmod(v, p4)
-            assert rem == 0 and off >= 0
-            numerator[off] = get(off, 0) + fmult
-            off += _gap(params, r, s)
-            numerator[off] = get(off, 0) - fmult
-            r += 2
+    if isinstance(factor, FockTypical):
+        numerator[off] = numerator.get(off, 0) + mult
+        return
+    p, s = params.p, factor.s
+    r = max(factor.r, 2 - factor.r)
+    # 4p * (h_{r,s} - h_{r0,s}) = (pr - s)^2 - (pr0 - s)^2, a multiple of 4p.
+    sq0 = (p * r - s) ** 2
+    while (k := off + ((p * r - s) ** 2 - sq0) // (4 * p)) <= n:
+        numerator[k] = numerator.get(k, 0) + mult
+        k += _gap(params, r, s)
+        numerator[k] = numerator.get(k, 0) - mult
+        r += 2
 
 
 def ch_expr(params: Params, x, n: int) -> CharacterSum:
     """Character of a module expression, one series per weight coset.
 
-    Each coset's series starts at the minimal weight among its summands and
-    is exact to n orders above it.  It is one sparse integer numerator times
-    the partition series.  The monomials of all summands (Fock factors and
-    embedding-chain terms) are added into that numerator first, where equal
-    offsets merge or cancel: a chain term shared by several summands, such
-    as the nested orbit lifts of an orbifold module, reaches the
-    coefficients once.
+    It is read off the K-class of ``x`` in one pass over its simple factors.
+    Each coset's series starts at the minimal weight among its factors and
+    is exact to n orders above it.  All factors add into one numerator, so
+    a chain term shared by several summands, such as the nested orbit lifts
+    of an orbifold module, reaches the coefficients once.
     """
     if n < 0:
         raise DomainError(f"truncation order must be >= 0, got {n}")
     by_coset: dict = {}
-    for atom, mult in as_expr(x).terms():
-        atom = normalize_atom(params, atom)
-        lw = lowest_weight(params, atom)
-        by_coset.setdefault(lw % 1, []).append((atom, mult, lw))
+    for factor, mult in k_class(params, x).terms():
+        lw = lowest_weight(params, factor)
+        by_coset.setdefault(lw % 1, []).append((factor, mult, lw))
     out = {}
-    for key, atoms in by_coset.items():
-        base = min(lw for _, _, lw in atoms)
+    for key, factors in by_coset.items():
+        base = min(lw for _, _, lw in factors)
         numerator: dict = {}
-        for atom, mult, _ in atoms:
-            _add_numerator(params, atom, mult, base, n, numerator)
+        for factor, mult, lw in factors:
+            off = lw - base
+            assert off.denominator == 1
+            _add_numerator(params, factor, mult, int(off), n, numerator)
         out[key] = QSeries(base, _times_partitions(numerator, n))
     return CharacterSum(out)
 

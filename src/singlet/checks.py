@@ -180,17 +180,20 @@ def _suite_characters(params: Params, order: int) -> SuiteResult:
                 == ch_expr(params, ModuleExpr.of(MSimple(r, s), MSimple(r + 1, p - s)), order),
                 f"Fock factor identity failed at Fa({r},{s})",
             )
+            # Independent series oracle: a length-2 Fock module has the
+            # graded dimension of a Verma module, and P(r,s) is filtered by
+            # Fa(r,s) and Fa(r-1,p-s), so it has two of them.
+            part = partition_numbers(order)
+            lws = [modules.lowest_weight(params, a) for a in (fa, FockAtypical(r - 1, p - s))]
+            base = min(lws)
+            shifts = [int(lw - base) for lw in lws]
+            two_vermas = [sum(part[k - d] for d in shifts if d <= k) for k in range(order + 1)]
             res.check(
-                ch_indec(params, Proj(r, s), order)
-                == ch_expr(params, ModuleExpr.of(fa, FockAtypical(r - 1, p - s)), order),
+                ch_indec(params, Proj(r, s), order).series() == [QSeries(base, two_vermas)],
                 f"projective factor identity failed at P({r},{s})",
             )
-            # Independent series oracle: a length-2 Fock module has the
-            # graded dimension of a Verma module.
-            got = ch_indec(params, fa, order).series()
-            base = modules.lowest_weight(params, fa)
             res.check(
-                got == [QSeries(base, partition_numbers(order))],
+                ch_indec(params, fa, order).series() == [QSeries(lws[0], part)],
                 f"Fock graded dimension failed at Fa({r},{s})",
             )
         for s in range(1, p + 1):

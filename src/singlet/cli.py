@@ -47,6 +47,7 @@ from .weights import Params
 __all__ = ["main", "run_command"]
 
 _DEFAULT_ORDER = 20
+_CHECK_ORDER = 40
 
 
 class _UsageError(Exception):
@@ -218,7 +219,7 @@ def _orbfuse(call: _Call) -> _Output:
 
 def _check(call: _Call) -> _Output:
     args = call.args
-    order = 40 if args.order is None else _checked_order(args.order)
+    order = _CHECK_ORDER if args.order is None else _checked_order(args.order)
     names = checks.SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = checks.run_suites(names, call.params, m=args.m, order=order)
     ok = all(r.ok for r in results)
@@ -270,7 +271,8 @@ def build_parser() -> _ArgumentParser:
         "--order",
         type=int,
         default=None,
-        help=f"character truncation order (default: $SINGLET_ORDER or {_DEFAULT_ORDER})",
+        help=f"character truncation order (default: $SINGLET_ORDER or {_DEFAULT_ORDER}; "
+        f"{_CHECK_ORDER} under check, which does not read $SINGLET_ORDER)",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, (help_text, arguments, _) in _COMMANDS.items():

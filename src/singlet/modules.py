@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import ClassVar, Union
 
 from .errors import DomainError, NonSemisimpleTwist, UnsupportedSpecies
 from .weights import Params, UnitPhase, Weight, conformal_weight, h_rs
@@ -40,7 +39,6 @@ __all__ = [
     "Proj",
     "FockAtypical",
     "GenVerma",
-    "Indecomposable",
     "ModuleExpr",
     "as_expr",
     "term_pairs",
@@ -65,15 +63,15 @@ __all__ = [
 class MSimple:
     r: int
     s: int
-    _TAG: ClassVar[str] = "M"
-    _RANK: ClassVar[int] = 0
+    _TAG = "M"
+    _RANK = 0
 
 
 @dataclass(frozen=True)
 class FockTypical:
     q: Fraction
-    _TAG: ClassVar[str] = "F"
-    _RANK: ClassVar[int] = 1
+    _TAG = "F"
+    _RANK = 1
 
     def __post_init__(self):
         q = Fraction(self.q)
@@ -92,27 +90,25 @@ class FockTypical:
 class Proj:
     r: int
     s: int
-    _TAG: ClassVar[str] = "P"
-    _RANK: ClassVar[int] = 2
+    _TAG = "P"
+    _RANK = 2
 
 
 @dataclass(frozen=True)
 class FockAtypical:
     r: int
     s: int
-    _TAG: ClassVar[str] = "Fa"
-    _RANK: ClassVar[int] = 3
+    _TAG = "Fa"
+    _RANK = 3
 
 
 @dataclass(frozen=True)
 class GenVerma:
     r: int
     s: int
-    _TAG: ClassVar[str] = "G"
-    _RANK: ClassVar[int] = 4
+    _TAG = "G"
+    _RANK = 4
 
-
-Indecomposable = Union[MSimple, FockTypical, Proj, FockAtypical, GenVerma]
 
 
 def label(atom) -> str:
@@ -134,7 +130,7 @@ def sort_key(atom):
     return (atom._RANK, atom.r, atom.s)
 
 
-def normalize_atom(params: Params, atom) -> Indecomposable:
+def normalize_atom(params: Params, atom):
     """Validate s-ranges against p and collapse the s = p conventions."""
     p = params.p
     if isinstance(atom, FockTypical):
@@ -308,7 +304,7 @@ def defining_coord(params: Params, atom) -> Fraction:
     return Fraction(params.p * (atom.r - 1) - (atom.s - 1))
 
 
-def dual_atom(params: Params, atom) -> Indecomposable:
+def dual_atom(params: Params, atom):
     p = params.p
     if isinstance(atom, MSimple):
         return MSimple(2 - atom.r, atom.s)
@@ -368,7 +364,7 @@ def k_class(params: Params, x) -> ModuleExpr:
     )
 
 
-def loewy_layers(params: Params, atom) -> list[list[Indecomposable]]:
+def loewy_layers(params: Params, atom) -> list[list]:
     """Socle series of a single indecomposable, top layer first, socle last.
 
     Simple species give a single layer.  Layers are canonically sorted lists;

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar
 
 from .characters import CharacterSum, ch_expr
 from .errors import DomainError, NotLocal, UnsupportedSpecies
@@ -85,15 +84,15 @@ class OrbifoldParams:
 class WSimple:
     r: int
     s: int
-    _TAG: ClassVar[str] = "W"
-    _RANK: ClassVar[int] = 5
+    _TAG = "W"
+    _RANK = 5
 
 
 @dataclass(frozen=True)
 class VTypical:
     q: Fraction
-    _TAG: ClassVar[str] = "V"
-    _RANK: ClassVar[int] = 6
+    _TAG = "V"
+    _RANK = 6
 
     def __post_init__(self):
         object.__setattr__(self, "q", Fraction(self.q))
@@ -103,8 +102,8 @@ class VTypical:
 class RProj:
     r: int
     s: int
-    _TAG: ClassVar[str] = "R"
-    _RANK: ClassVar[int] = 7
+    _TAG = "R"
+    _RANK = 7
 
 
 def w_simple(op: OrbifoldParams, r: int, s: int) -> WSimple:

@@ -26,7 +26,6 @@ forms.
 
 from __future__ import annotations
 
-import string
 from fractions import Fraction
 
 from .errors import DomainError, ExprSemanticError, ExprSyntaxError
@@ -39,8 +38,8 @@ __all__ = ["parse_expr", "is_orbifold_expr"]
 _PAIR_SPECIES = {"M": MSimple, "P": Proj, "Fa": FockAtypical, "G": GenVerma, "W": WSimple, "R": RProj}
 _COORD_SPECIES = {"F": FockTypical, "V": VTypical}
 _ORBIFOLD = (WSimple, VTypical, RProj)
-_DIGITS = frozenset(string.digits)
-_SPACE = frozenset(string.whitespace)
+_DIGITS = frozenset("0123456789")
+_SPACE = frozenset(" \t\n\r\x0b\x0c")
 
 
 class _Scanner:

@@ -1,8 +1,8 @@
 """Write ``cli.txt``, the golden CLI corpus replayed by ``tests/test_golden.py``.
 
 Each line of the corpus is one JSON object: ``argv`` (the arguments after
-``singlet``), ``exit`` (the exit code of ``singlet.cli.main``) and ``stdout``
-(everything it printed to stdout, byte for byte).  The corpus records what
+``singlet``), ``exit`` (the exit code of ``singlet.cli.main``), ``stdout`` and
+``stderr`` (everything it printed to each stream, byte for byte).  The corpus records what
 the program prints today, so regenerate it only for a change that is meant
 to alter CLI output, and review the diff::
 
@@ -77,6 +77,13 @@ def _singlet_cases() -> list[list[str]]:
         out.append(["--p", "2", *g, "monodromy", "M(0,2) + Fa(1,1)"])
         out.append(["--p", "3", *g, "verma", "1", "2"])
         out.append(["--p", "2", *g, "factors", "-1", "1"])
+    # Deeper characters: several weight cosets, atypical, composite and
+    # typical summands in one numerator, and nested orbit lifts.
+    out.append(["--p", "3", "--order", "50", "char", "F(1/2) + 2*P(1,1) + M(-2,2) + F(-1/3) + G(1,2) + Fa(0,1)"])
+    out.append(["--p", "4", "--format", "json", "--order", "60", "char",
+                "F(1/2) + Fa(-1,3) + M(3,4) + 3*F(5/4) + P(2,1) + G(-1,2)"])
+    out.append(["--p", "2", "--m", "3", "--order", "40", "char", "R(1,1) + W(2,2)"])
+    out.append(["--p", "3", "--m", "3", "--format", "json", "--order", "30", "char", "R(0,2) + W(1,1) + V(1/3)"])
     return out
 
 
@@ -118,22 +125,24 @@ def corpus_argvs() -> list[list[str]]:
     return _fuse_cases() + _singlet_cases() + _check_cases() + _error_cases()
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of one in-process CLI call; stderr is dropped."""
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process CLI call."""
     from singlet.cli import main
 
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def main() -> int:
     os.environ.pop("SINGLET_ORDER", None)
     lines = []
     for argv in corpus_argvs():
-        code, stdout = run(argv)
-        lines.append(json.dumps({"argv": argv, "exit": code, "stdout": stdout}, ensure_ascii=False))
+        code, stdout, stderr = run(argv)
+        lines.append(
+            json.dumps({"argv": argv, "exit": code, "stdout": stdout, "stderr": stderr}, ensure_ascii=False)
+        )
     CORPUS.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(lines)} cases to {CORPUS}", file=sys.stderr)
     return 0

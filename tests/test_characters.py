@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,27 @@ def test_partition_cache_extends_exactly(monkeypatch):
     for n in (5, 300, 100, 1000):
         assert partition_numbers(n) == full[: n + 1]
     assert len(characters._partitions) == 1001
+
+
+def _times_partitions_naive(numerator, n):
+    part = _partitions_by_parts(n)
+    return [sum(c * part[k - o] for o, c in numerator.items() if o <= k) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_times_partitions_matches_double_loop(seed):
+    # Sparse numerators with zero coefficients and offsets beyond n; and
+    # prod_k (1 - q^k) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)),
+    # a numerator that cancels the partition series down to 1.
+    rng = random.Random(seed)
+    for n in [0, 1, 2, 400] + [rng.randrange(401) for _ in range(6)]:
+        numerator = {rng.randrange(n + 30): rng.randint(-5, 5) for _ in range(rng.randrange(1, 40))}
+        assert characters._times_partitions(numerator, n) == _times_partitions_naive(numerator, n)
+        euler = {g: -sign for g, sign in characters._pentagonal(n + 10)}
+        euler[0] = 1
+        assert characters._times_partitions(euler, n) == [1] + [0] * n
+    assert characters._times_partitions({}, 5) == [0] * 6
+    assert characters._times_partitions({0: 0, 9: 3}, 5) == [0] * 6
 
 
 def test_deep_character_matches_term_by_term_sum():

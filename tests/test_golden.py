@@ -1,5 +1,5 @@
 """Replay the golden CLI corpus: every recorded call must print the same bytes
-to stdout and return the same exit code.  ``tests/golden/generate.py``
+to stdout and stderr and return the same exit code.  ``tests/golden/generate.py``
 documents the corpus format and how it was made."""
 
 import io
@@ -23,7 +23,7 @@ def test_corpus_size():
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
 def test_golden_cli(case, monkeypatch):
     monkeypatch.delenv("SINGLET_ORDER", raising=False)
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(list(case["argv"]))
-    assert (code, out.getvalue()) == (case["exit"], case["stdout"])
+    assert (code, out.getvalue(), err.getvalue()) == (case["exit"], case["stdout"], case["stderr"])

@@ -1,8 +1,12 @@
 import io
 import json
 import random
+import string
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +15,7 @@ from singlet.cli import main
 from singlet.errors import ExprSemanticError, ExprSyntaxError
 from singlet.modules import FockTypical, ModuleExpr, MSimple, Proj
 from singlet.orbifold import OrbifoldParams, VTypical, WSimple
-from singlet.parser import parse_expr
+from singlet.parser import _DIGITS, _SPACE, parse_expr
 from singlet.weights import Params
 
 
@@ -95,6 +99,11 @@ def test_non_ascii_input_is_a_syntax_error(p2, text, offset):
     code, out, msg = run_cli("--p", "2", "fuse", text, "M(1,1)")
     assert (code, out) == (1, "")
     assert f"(at byte {offset})" in msg
+
+
+def test_scanner_classes_are_ascii_digits_and_whitespace():
+    assert _DIGITS == frozenset(string.digits)
+    assert _SPACE == frozenset(string.whitespace)
 
 
 def test_orbifold_atoms_parse_with_m(p2):
@@ -247,3 +256,18 @@ def test_cli_json_byte_stable():
 def test_cli_help_exits_zero():
     code, out, _ = run_cli("--help")
     assert code == 0
+    assert (
+        "--order ORDER character truncation order (default: $SINGLET_ORDER or 20;"
+        " 40 under check, which does not read $SINGLET_ORDER)"
+    ) in " ".join(out.split())
+
+
+def test_cli_import_leaves_typing_and_string_unloaded():
+    # -S keeps site hooks, which may import anything, out of the picture.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import singlet.cli; "
+        "print('typing' in sys.modules, 'string' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]
