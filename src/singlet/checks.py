@@ -227,7 +227,7 @@ def _suite_oracle(params: Params) -> SuiteResult:
                 fusion.chebyshev_fuse(params, x, y) == fusion.fuse(params, x, y),
                 f"oracle disagreement at {label(x)}, {label(y)}",
             )
-    pairing = ModuleExpr([(modules.normalize_atom(params, Proj(1, s)), 1) for s in range(1, p + 1, 2)])
+    pairing = ModuleExpr.of(*(modules.normalize_atom(params, Proj(1, s)) for s in range(1, p + 1, 2)))
     for q in _TYPICAL_COORDS:
         res.check(
             fusion.fuse(params, FockTypical(q), FockTypical(2 - 2 * p - q)) == pairing,
@@ -240,12 +240,8 @@ def _suite_oracle(params: Params) -> SuiteResult:
                 fusion.fuse(params, FockTypical(q), FockTypical(q2)),
                 FockTypical(2 - 2 * p - q2),
             )
-            rhs = ModuleExpr(
-                [
-                    (FockTypical(q + 2 - 2 * p + 2 * (l1 + l2)), 1)
-                    for l1 in range(p)
-                    for l2 in range(p)
-                ]
+            rhs = ModuleExpr.of(
+                *(FockTypical(q + 2 - 2 * p + 2 * (l1 + l2)) for l1 in range(p) for l2 in range(p))
             )
             res.check(lhs == rhs, f"triple product identity failed at q={q}, mu={q2}")
     return res

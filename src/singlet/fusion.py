@@ -1,11 +1,13 @@
 """Tensor products of module expressions.
 
 The four closed-form rules cover simple x simple, simple x typical,
-projective x typical, and typical x typical.  Products of a projective
-with a simple or another projective are not closed-form; they are obtained
-by multiplying in the Grothendieck ring and inverting the (injective)
-projective-to-K-class map, which is triangular in the label order and so
-is undone by a top-down peel.
+projective x typical, and typical x typical.  Tensoring is exact, so the
+Grothendieck-ring product is the class of the fusion product of the
+classes, and a class holds only simple labels, whose products are all
+closed-form.  Products of a projective with a simple or another projective
+are not closed-form; they are obtained by multiplying in the Grothendieck
+ring and inverting the (injective) projective-to-K-class map, which is
+triangular in the label order and so is undone by a top-down peel.
 
 :func:`chebyshev_fuse` is an independent derivation path used as an oracle:
 it reduces every product to the degenerate-field recursion
@@ -68,9 +70,10 @@ def fuse_simple_simple_atypical(params: Params, r: int, s: int, r2: int, s2: int
     # Both index ranges step by 2 and are empty when their bounds cross.
     simple = range(abs(s - s2) + 1, min(s + s2 - 1, 2 * p - 1 - s - s2) + 1, 2)
     projective = range(2 * p + 1 - s - s2, p + 1, 2)
-    terms = [(MSimple(rr, l), 1) for l in simple]
-    terms += [(normalize_atom(params, Proj(rr, l)), 1) for l in projective]
-    return ModuleExpr(terms)
+    return ModuleExpr.of(
+        *(MSimple(rr, l) for l in simple),
+        *(normalize_atom(params, Proj(rr, l)) for l in projective),
+    )
 
 
 def fuse_simple_typical(params: Params, r: int, s: int, q) -> ModuleExpr:
@@ -80,7 +83,7 @@ def fuse_simple_typical(params: Params, r: int, s: int, q) -> ModuleExpr:
     _check_s(p, s, "atypical label")
     q = _typical_coord(q)
     base = q + p * (r - 1) - (s - 1)
-    return ModuleExpr([(FockTypical(base + 2 * l), 1) for l in range(s)])
+    return ModuleExpr.of(*(FockTypical(base + 2 * l) for l in range(s)))
 
 
 def fuse_proj_typical(params: Params, r: int, s: int, q) -> ModuleExpr:
@@ -90,11 +93,7 @@ def fuse_proj_typical(params: Params, r: int, s: int, q) -> ModuleExpr:
     q = _typical_coord(q)
     qa = q + p * (r - 1) - (s - 1)
     qb = q + p * (r - 2) - (p - s - 1)
-    terms = []
-    for l in range(p):
-        terms.append((FockTypical(qa + 2 * l), 1))
-        terms.append((FockTypical(qb + 2 * l), 1))
-    return ModuleExpr(terms)
+    return ModuleExpr.of(*(FockTypical(q0 + 2 * l) for l in range(p) for q0 in (qa, qb)))
 
 
 def fuse_typical_typical(params: Params, q, q2) -> ModuleExpr:
@@ -108,19 +107,21 @@ def fuse_typical_typical(params: Params, q, q2) -> ModuleExpr:
     q2 = _typical_coord(q2)
     total = q + q2
     if total.denominator != 1:
-        return ModuleExpr([(FockTypical(total + 2 * l), 1) for l in range(p)])
+        return ModuleExpr.of(*(FockTypical(total + 2 * l) for l in range(p)))
     # Solve n = p(r-1) - (s-1) for the unique (r, s) with 1 <= s <= p.
     n = int(total) - (2 - 2 * p)
     r = -(-n // p) + 1
     s = p * (r - 1) - n + 1
-    terms = [(normalize_atom(params, Proj(r, s2)), 1) for s2 in range(s, p + 1, 2)]
-    terms += [(normalize_atom(params, Proj(r - 1, s2)), 1) for s2 in range(p + 2 - s, p + 1, 2)]
-    return ModuleExpr(terms)
+    return ModuleExpr.of(
+        *(normalize_atom(params, Proj(r, s2)) for s2 in range(s, p + 1, 2)),
+        *(normalize_atom(params, Proj(r - 1, s2)) for s2 in range(p + 2 - s, p + 1, 2)),
+    )
 
 
 # The closed-form rule of each canonical species pair (MSimple <= FockTypical
-# <= Proj).  The entries look the rules up as module globals when called, so
-# a wrapper installed on a module attribute sees every call.
+# <= Proj), read by ``_fuse_atoms`` alone.  The entries look the rules up as
+# module globals when called, so a wrapper installed on a module attribute
+# sees every call.
 _CLOSED_FORMS = {
     (MSimple, MSimple): lambda params, a, b: fuse_simple_simple_atypical(params, a.r, a.s, b.r, b.s),
     (MSimple, FockTypical): lambda params, a, b: fuse_simple_typical(params, a.r, a.s, b.q),
@@ -130,19 +131,13 @@ _CLOSED_FORMS = {
 
 
 def k_product(params: Params, a, b) -> ModuleExpr:
-    """Grothendieck-ring product of two K-classes (bilinear over simples).
+    """Grothendieck-ring product of two expressions: the K-class of the
+    fusion product of their K-classes.
 
-    A simple times a typical is a sum of typicals, already its own K-class."""
-    ka, kb = k_class(params, a).terms(), k_class(params, b).terms()
-    pieces = []
-    for x, mx in ka:
-        for y, my in kb:
-            lo, hi = (x, y) if x._RANK <= y._RANK else (y, x)
-            product = _CLOSED_FORMS[type(lo), type(hi)](params, lo, hi)
-            if type(x) is type(y):
-                product = k_class(params, product)
-            pieces.append((mx * my, product))
-    return ModuleExpr.combine(pieces)
+    Tensoring is exact, so [X][Y] = [X x Y].  A K-class holds only simple
+    labels, and every product of simples is closed-form, so this never
+    comes back here through the projective fallback of :func:`fuse`."""
+    return k_class(params, fuse(params, k_class(params, a), k_class(params, b)))
 
 
 def projective_decompose(params: Params, k) -> ModuleExpr:
@@ -200,7 +195,7 @@ def _fuse_atoms(params: Params, a, b) -> ModuleExpr:
     # Proj against MSimple or Proj: solve in the Grothendieck ring.  The
     # product of a projective with anything is projective, and projectives
     # are determined by their K-class.
-    return projective_decompose(params, k_product(params, ModuleExpr.of(a), ModuleExpr.of(b)))
+    return projective_decompose(params, k_product(params, a, b))
 
 
 def fuse(params: Params, x, y) -> ModuleExpr:

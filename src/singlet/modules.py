@@ -11,7 +11,8 @@ Species
 ``Proj(r, p)`` and ``FockAtypical(r, p)`` are never stored; the label
 conventions collapse both to ``MSimple(r, p)`` in :func:`normalize_atom` only.
 The socle series of each species, the Verma socle cases included, is stated
-once, in ``_layers``; K-classes, Loewy layers and Verma factors read it.
+once, in ``_layers``; K-classes, Loewy layers, Verma factors and the test
+of simplicity in :func:`twist_phase` read it.
 
 A :class:`ModuleExpr` is a finite multiset of labels with positive integer
 multiplicities.  K-classes (multisets of composition factors) reuse the same
@@ -389,11 +390,13 @@ def t_grade(params: Params, atom) -> Fraction:
 
 
 def twist_phase(params: Params, atom) -> UnitPhase:
-    """Ribbon twist scalar exp(2*pi*i*h) on a simple module."""
+    """Ribbon twist scalar exp(2*pi*i*h) on a simple module: any label whose
+    socle series is one composition factor, G(r,p) included."""
     atom = normalize_atom(params, atom)
-    if not isinstance(atom, (MSimple, FockTypical)):
+    factors = list(chain.from_iterable(_layers(params.p, atom)))
+    if len(factors) > 1:
         raise NonSemisimpleTwist(f"twist is not scalar on {label(atom)}")
-    return UnitPhase(lowest_weight(params, atom))
+    return UnitPhase(lowest_weight(params, factors[0]))
 
 
 def monodromy_phase_with_m21(params: Params, atom) -> UnitPhase:

@@ -251,7 +251,7 @@ def _orbit_lifts(op: OrbifoldParams, atom, depth: int) -> ModuleExpr:
             return FockTypical(lift.q + op.q_modulus * n)
         return type(lift)(lift.r + op.r_modulus * n, lift.s)
 
-    return ModuleExpr([(member(n), 1) for n in steps])
+    return ModuleExpr.of(*(member(n) for n in steps))
 
 
 def orbifold_char_expr(op: OrbifoldParams, x, n: int) -> CharacterSum:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from singlet.characters import CharacterSum, QSeries, partition_numbers
 from singlet.errors import DomainError, NotProjectiveClass
+from singlet.fusion import _CLOSED_FORMS
 from singlet.modules import (
     FockAtypical,
     FockTypical,
@@ -226,3 +227,19 @@ def laurent_product(f, g):
         for e2, b in g.items():
             out[e + e2] = out.get(e + e2, 0) + a * b
     return out
+
+
+def k_product_by_pairs(params, a, b):
+    """Oracle for ``fusion.k_product``: bilinear over the simple factors of
+    both K-classes, each pair multiplied by its closed form in species order,
+    and same-species products (which hold projectives) taken to their class."""
+    ka, kb = k_class(params, a).terms(), k_class(params, b).terms()
+    pieces = []
+    for x, mx in ka:
+        for y, my in kb:
+            lo, hi = (x, y) if x._RANK <= y._RANK else (y, x)
+            product = _CLOSED_FORMS[type(lo), type(hi)](params, lo, hi)
+            if type(x) is type(y):
+                product = k_class(params, product)
+            pieces.append((mx * my, product))
+    return ModuleExpr.combine(pieces)

@@ -37,6 +37,7 @@ from singlet.weights import Params
 from helpers import (
     ch_expr_by_terms,
     k_class_by_species,
+    k_product_by_pairs,
     laurent_image,
     laurent_product,
     orbit_lift,
@@ -186,18 +187,41 @@ def projective_classes(draw):
     return Params(p), k
 
 
-def _outcome(solver, params, k):
+def _outcome(fn, *args, message=True):
+    """The result of ``fn(*args)``, or the type (and message) of the
+    SingletError it raises."""
     try:
-        return solver(params, k)
+        return fn(*args)
     except SingletError as exc:
-        return type(exc)
+        return (type(exc), str(exc)) if message else type(exc)
 
 
 @PROPERTY_SETTINGS
 @given(projective_classes())
 def test_projective_decompose_matches_chain_solver(case):
+    # The two solvers word their failures differently; only the type must agree.
     params, k = case
-    assert _outcome(projective_decompose, params, k) == _outcome(projective_decompose_by_chains, params, k)
+    assert _outcome(projective_decompose, params, k, message=False) == _outcome(
+        projective_decompose_by_chains, params, k, message=False
+    )
+
+
+@st.composite
+def k_product_cases(draw):
+    """Random sums of all five species; in half of the cases an s may fall
+    outside 1..p, which k_class rejects."""
+    p = draw(st.integers(2, 12))
+    s = st.integers(0, p + 1) if draw(st.booleans()) else st.integers(1, p)
+    species = (MSimple, Proj, FockAtypical, GenVerma)
+    exprs = _exprs(st.one_of(*(st.builds(kind, _R, s) for kind in species), _TYPICAL), 4)
+    return Params(p), draw(exprs), draw(exprs)
+
+
+@PROPERTY_SETTINGS
+@given(k_product_cases())
+def test_k_product_matches_pair_loop(case):
+    params, a, b = case
+    assert _outcome(k_product, params, a, b) == _outcome(k_product_by_pairs, params, a, b)
 
 
 def _orbifold_labels(op: OrbifoldParams):

@@ -175,6 +175,14 @@ def test_twist_examples(p, atom, exponent):
     assert twist_phase(Params(p), atom).exponent == exponent
 
 
+@pytest.mark.parametrize("p", range(2, 7))
+def test_twist_of_simple_verma_quotient(p):
+    # G(r,p) has the single composition factor M(r,p), so its twist is scalar.
+    params = Params(p)
+    for r in range(-3, 4):
+        assert twist_phase(params, GenVerma(r, p)) == twist_phase(params, MSimple(r, p))
+
+
 def test_twist_rejects_non_simple(p2):
     with pytest.raises(NonSemisimpleTwist):
         twist_phase(p2, Proj(1, 1))
