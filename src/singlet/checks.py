@@ -64,18 +64,22 @@ def _suite_associativity(params: Params) -> SuiteResult:
             fusion.fuse(params, unit, x) == ModuleExpr.of(x),
             f"unit failed at {label(x)}",
         )
+    # products[i][j] is x_i x x_j, built once here and read by the triple loop.
+    products = []
     for x in atoms:
-        for y in atoms:
-            res.check(
-                fusion.fuse(params, x, y) == fusion.fuse(params, y, x),
-                f"commutativity failed at {label(x)}, {label(y)}",
-            )
-    for x in atoms:
+        products.append([])
         for y in atoms:
             xy = fusion.fuse(params, x, y)
-            for z in atoms:
+            res.check(
+                xy == fusion.fuse(params, y, x),
+                f"commutativity failed at {label(x)}, {label(y)}",
+            )
+            products[-1].append(xy)
+    for x, x_products in zip(atoms, products):
+        for y, xy, y_products in zip(atoms, x_products, products):
+            for z, yz in zip(atoms, y_products):
                 lhs = fusion.fuse(params, xy, z)
-                rhs = fusion.fuse(params, x, fusion.fuse(params, y, z))
+                rhs = fusion.fuse(params, x, yz)
                 res.check(lhs == rhs, f"associativity failed at {label(x)}, {label(y)}, {label(z)}")
     return res
 

@@ -21,7 +21,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, NotProjectiveClass, NotTypical, OracleSubtractionFailure, UnsupportedSpecies
+from .errors import (
+    DomainError,
+    NotProjectiveClass,
+    NotTypical,
+    OracleSubtractionFailure,
+    SingletError,
+    UnsupportedSpecies,
+)
 from .modules import (
     FockTypical,
     ModuleExpr,
@@ -172,7 +179,7 @@ def projective_decompose(params: Params, k) -> ModuleExpr:
             if left < 0:
                 raise NotProjectiveClass("no nonnegative integer projective decomposition")
             rest[key] = left
-    return ModuleExpr(out)
+    return ModuleExpr.combine((mult, ModuleExpr.of(atom)) for atom, mult in out)
 
 
 _FUSABLE = (MSimple, FockTypical, Proj)
@@ -186,24 +193,65 @@ def _fusable(params: Params, atom):
     return atom, sort_key(atom)
 
 
+# One object per label held by some cached row of ``_fuse_atoms``: rows are
+# re-keyed through it, so equal labels of different rows are the same object
+# and the dict lookups and comparisons of products meet them by identity.
+_ROW_LABELS: dict = {}
+
+
 @lru_cache(maxsize=None)
 def _fuse_atoms(params: Params, a, b) -> ModuleExpr:
-    # Canonical argument order: MSimple <= FockTypical <= Proj.
+    """Product of two normalized fusable atoms given in canonical order
+    (MSimple <= FockTypical <= Proj, then by :func:`sort_key`), so the cache
+    keeps one row per unordered pair.  The row's labels are the shared ones
+    of ``_ROW_LABELS``."""
     rule = _CLOSED_FORMS.get((type(a), type(b)))
     if rule is not None:
-        return rule(params, a, b)
-    # Proj against MSimple or Proj: solve in the Grothendieck ring.  The
-    # product of a projective with anything is projective, and projectives
-    # are determined by their K-class.
-    return projective_decompose(params, k_product(params, a, b))
+        row = rule(params, a, b)
+    else:
+        # Proj against MSimple or Proj: solve in the Grothendieck ring.  The
+        # product of a projective with anything is projective, and
+        # projectives are determined by their K-class.
+        row = projective_decompose(params, k_product(params, a, b))
+    return row.map_atoms(lambda atom: _ROW_LABELS.setdefault(atom, atom))
+
+
+def _operand(params: Params, x) -> list:
+    """The terms of ``x`` (an expression or a single label), normalized once
+    and in dict order, as ``(atom, sort_key, mult)``."""
+    out = []
+    for atom, mult in x.items() if isinstance(x, ModuleExpr) else ((x, 1),):
+        atom, key = _fusable(params, atom)
+        out.append((atom, key, mult))
+    return out
 
 
 def fuse(params: Params, x, y) -> ModuleExpr:
-    """Tensor product of two module expressions, bilinear over direct sums."""
-    return ModuleExpr.combine(
+    """Tensor product of two module expressions, bilinear over direct sums.
+
+    Each operand is normalized once, in dict order; every pair of terms is
+    then one cached row of :func:`_fuse_atoms`, looked up in canonical
+    order, and the rows are summed by :meth:`ModuleExpr.combine`.  Equal
+    labels of different rows are one object, so the sum and the comparison
+    of products meet them by identity.  Errors are those of the
+    canonical nested loop: the first bad label among the first term of
+    ``x`` (in sorted order), then every term of ``y``, then the rest of
+    ``x``; ``fuse(0, y)`` is 0 whatever ``y`` holds.
+    """
+    if isinstance(x, ModuleExpr) and not x:
+        return ModuleExpr.zero()
+    try:
+        xs, ys = _operand(params, x), _operand(params, y)
+    except SingletError:
+        # Some label is bad: the canonical loop raises the one to report.
+        for _ in term_pairs(x, y, lambda atom: _fusable(params, atom)):
+            pass
+        raise
+    return ModuleExpr.combine([
         (ma * mb, _fuse_atoms(params, a, b) if ka <= kb else _fuse_atoms(params, b, a))
-        for (a, ka), ma, (b, kb), mb in term_pairs(x, y, lambda atom: _fusable(params, atom))
-    )
+        for a, ka, ma in xs
+        for b, kb, mb in ys
+    ])
 
 
 # --- independent recursion oracle ---------------------------------------

@@ -8,6 +8,11 @@ Species
 * ``FockAtypical(r, s)``  length-2 Fock module at an integral weight, s < p
 * ``GenVerma(r, s)``      generalized Verma quotient (structural species)
 
+Labels are frozen values.  Two ``FockTypical`` labels are equal exactly
+when their coordinates have the same (numerator, denominator) ints, and a
+``FockTypical`` equals no label of another species and no number; its hash
+is cached.
+
 ``Proj(r, p)`` and ``FockAtypical(r, p)`` are never stored; the label
 conventions collapse both to ``MSimple(r, p)`` in :func:`normalize_atom` only.
 The socle series of each species, the Verma socle cases included, is stated
@@ -79,9 +84,17 @@ class FockTypical:
         if q.denominator == 1:
             raise DomainError(f"typical Fock coordinate must be non-integral, got {q}")
         object.__setattr__(self, "q", q)
-        # Fraction hashing is slow and these atoms are dict keys on every
-        # product; the value is the one the dataclass would compute.
+        # Fraction hashing and equality are slow and these atoms are dict
+        # keys on every product: equality compares the coordinate's
+        # (numerator, denominator) ints, and the hash is the one the
+        # dataclass would compute, cached.
+        object.__setattr__(self, "_key", (q.numerator, q.denominator))
         object.__setattr__(self, "_hash", hash((q,)))
+
+    def __eq__(self, other):
+        if other.__class__ is not FockTypical:
+            return NotImplemented
+        return self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -198,6 +211,10 @@ class ModuleExpr:
     @classmethod
     def zero(cls) -> "ModuleExpr":
         return cls()
+
+    def items(self):
+        """(atom, multiplicity) pairs in the order they were added, unsorted."""
+        return self._terms.items()
 
     def terms(self):
         """Canonically sorted (atom, multiplicity) pairs."""

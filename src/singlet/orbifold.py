@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import CharacterSum, ch_expr
-from .errors import DomainError, NotLocal, UnsupportedSpecies
+from .errors import DomainError, NotLocal, SingletError, UnsupportedSpecies
 from .fusion import fuse
 from .modules import (
     FockTypical,
@@ -155,23 +155,30 @@ def is_local(op: OrbifoldParams, atom) -> bool:
     return (op.m * defining_coord(op.singlet, normalize_atom(op.singlet, atom))).denominator == 1
 
 
+def _induce_atom(op: OrbifoldParams, atom):
+    atom = normalize_atom(op.singlet, atom)
+    if isinstance(atom, MSimple):
+        return w_simple(op, atom.r, atom.s)
+    if isinstance(atom, Proj):
+        return r_proj(op, atom.r, atom.s)
+    if isinstance(atom, FockTypical):
+        if not is_local(op, atom):
+            raise NotLocal(f"{label(atom)} is not local at m={op.m}")
+        return v_typical(op, atom.q)
+    raise UnsupportedSpecies(f"induction is not defined for {label(atom)}")
+
+
 def induce(op: OrbifoldParams, x) -> ModuleExpr:
-    """Induction of a local singlet expression to the orbifold."""
-    params = op.singlet
-    out = []
-    for atom, mult in as_expr(x).terms():
-        atom = normalize_atom(params, atom)
-        if isinstance(atom, MSimple):
-            out.append((w_simple(op, atom.r, atom.s), mult))
-        elif isinstance(atom, Proj):
-            out.append((r_proj(op, atom.r, atom.s), mult))
-        elif isinstance(atom, FockTypical):
-            if not is_local(op, atom):
-                raise NotLocal(f"{label(atom)} is not local at m={op.m}")
-            out.append((v_typical(op, atom.q), mult))
-        else:
-            raise UnsupportedSpecies(f"induction is not defined for {label(atom)}")
-    return ModuleExpr(out)
+    """Induction of a local singlet expression to the orbifold, term by term.
+    Of several bad terms, the first in canonical order is reported."""
+    x = as_expr(x)
+    try:
+        return x.map_atoms(lambda atom: _induce_atom(op, atom))
+    except SingletError:
+        # Some term is bad: the canonical order decides which is reported.
+        for atom, _ in x.terms():
+            _induce_atom(op, atom)
+        raise
 
 
 def lift_atom(op: OrbifoldParams, atom):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from singlet.characters import CharacterSum, QSeries, partition_numbers
 from singlet.errors import DomainError, NotProjectiveClass
-from singlet.fusion import _CLOSED_FORMS
+from singlet.fusion import _CLOSED_FORMS, _fusable, _fuse_atoms
 from singlet.modules import (
     FockAtypical,
     FockTypical,
@@ -16,6 +16,7 @@ from singlet.modules import (
     label,
     lowest_weight,
     normalize_atom,
+    term_pairs,
 )
 from singlet.orbifold import VTypical, WSimple
 from singlet.weights import h_rs
@@ -243,3 +244,13 @@ def k_product_by_pairs(params, a, b):
                 product = k_class(params, product)
             pieces.append((mx * my, product))
     return ModuleExpr.combine(pieces)
+
+
+def fuse_by_term_pairs(params, x, y):
+    """Oracle for ``fusion.fuse``: the canonical nested loop over the sorted
+    terms of x and y, each atom normalized as the loop reaches it, each pair
+    looked up in the ``_fuse_atoms`` cache in species order."""
+    return ModuleExpr.combine(
+        (ma * mb, _fuse_atoms(params, a, b) if ka <= kb else _fuse_atoms(params, b, a))
+        for (a, ka), ma, (b, kb), mb in term_pairs(x, y, lambda atom: _fusable(params, atom))
+    )

@@ -10,7 +10,7 @@ import pytest
 from singlet.checks import universe
 from singlet.errors import DomainError
 from singlet.modules import FockAtypical, FockTypical, GenVerma, ModuleExpr, MSimple, Proj, sort_key
-from singlet.orbifold import OrbifoldParams, RProj, list_simples
+from singlet.orbifold import OrbifoldParams, RProj, VTypical, list_simples
 from singlet.weights import Params
 
 F12 = FockTypical(Fraction(1, 2))
@@ -105,3 +105,11 @@ def test_equal_typical_atoms_hash_and_compare_equal():
     assert len({a, b, c}) == 1
     assert FockTypical(Fraction(1, 2)) != FockTypical(Fraction(-1, 2))
     assert ModuleExpr.of(a, b).multiplicity(c) == 2
+
+
+def test_typical_atoms_equal_only_typical_atoms():
+    half = FockTypical("1/2")
+    assert half == FockTypical(Fraction(2, 4))
+    assert half != VTypical(Fraction(1, 2)) and VTypical(Fraction(1, 2)) != half
+    assert half != Fraction(1, 2) and Fraction(1, 2) != half
+    assert half != MSimple(1, 2)

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from singlet.checks import universe
 from singlet.errors import (
     DomainError,
     NotProjectiveClass,
@@ -11,6 +12,7 @@ from singlet.errors import (
     UnsupportedSpecies,
 )
 from singlet.fusion import (
+    _fuse_atoms,
     chebyshev_fuse,
     fuse,
     fuse_proj_typical,
@@ -267,6 +269,46 @@ def test_first_error_follows_term_order(p2, product, x, y, error, atom):
     with pytest.raises(error, match=re.escape(atom)):
         product(p2, ModuleExpr.of(*x), ModuleExpr.of(*y))
     assert product(p2, ModuleExpr.zero(), ModuleExpr.of(*y)) == ModuleExpr.zero()
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (MSimple(-2, 5), F("1/3")),
+        (F("7/2"), F("-1/3")),
+        (MSimple(3, 30), MSimple(-1, 4)),
+    ],
+)
+def test_swapped_product_reads_the_same_cached_row(x, y):
+    # p = 31 is used by no other test, so no pair below is cached yet.
+    params = Params(31)
+    misses = _fuse_atoms.cache_info().misses
+    assert fuse(params, x, y) == fuse(params, y, x)
+    assert _fuse_atoms.cache_info().misses == misses + 1
+
+
+def test_swapped_projective_product_adds_no_row():
+    params = Params(31)
+    x = ModuleExpr([(Proj(-7, 3), 2), (MSimple(4, 9), 1)])
+    product = fuse(params, x, Proj(9, 11))
+    misses = _fuse_atoms.cache_info().misses
+    assert fuse(params, Proj(9, 11), x) == product
+    assert _fuse_atoms.cache_info().misses == misses
+
+
+def test_equal_labels_of_cached_rows_are_one_object(p3):
+    atoms = universe(p3)
+    shared = {}
+    for x in atoms:
+        for y in atoms:
+            for atom in fuse(p3, x, y).atoms():
+                assert shared.setdefault(atom, atom) is atom
+    # M(1,3) is a summand of both M(1,2) x M(1,2) and M(1,1) x M(1,3).
+    first = fuse(p3, MSimple(1, 2), MSimple(1, 2)).atoms()
+    second = fuse(p3, MSimple(1, 1), MSimple(1, 3)).atoms()
+    assert MSimple(1, 3) in first
+    assert second == [MSimple(1, 3)]
+    assert first[first.index(MSimple(1, 3))] is second[0]
 
 
 def test_fuse_bilinear(p2):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from singlet.fusion import fuse
 from singlet.modules import (
     FockAtypical,
     FockTypical,
+    GenVerma,
     ModuleExpr,
     MSimple,
     Proj,
@@ -122,6 +124,21 @@ def test_induce_examples(op22):
         induce(op22, ModuleExpr.of(FockTypical(Fraction(1, 3))))
     with pytest.raises(UnsupportedSpecies):
         induce(op22, ModuleExpr.of(FockAtypical(1, 1)))
+
+
+@pytest.mark.parametrize(
+    "terms, error, atom",
+    [
+        # The first bad term in canonical order is reported, whatever the
+        # order the terms were added in: F before Fa before G.
+        ((FockAtypical(1, 1), FockTypical(Fraction(1, 3))), NotLocal, "F(1/3)"),
+        ((FockTypical(Fraction(1, 3)), FockAtypical(1, 1)), NotLocal, "F(1/3)"),
+        ((GenVerma(0, 1), FockTypical(Fraction(1, 2)), FockAtypical(1, 1)), UnsupportedSpecies, "Fa(1,1)"),
+    ],
+)
+def test_induce_reports_the_first_bad_term(op22, terms, error, atom):
+    with pytest.raises(error, match=re.escape(atom)):
+        induce(op22, ModuleExpr.of(*terms))
 
 
 def test_lift_atom_roundtrip(op22):

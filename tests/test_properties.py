@@ -36,6 +36,7 @@ from singlet.weights import Params
 
 from helpers import (
     ch_expr_by_terms,
+    fuse_by_term_pairs,
     k_class_by_species,
     k_product_by_pairs,
     laurent_image,
@@ -222,6 +223,37 @@ def k_product_cases(draw):
 def test_k_product_matches_pair_loop(case):
     params, a, b = case
     assert _outcome(k_product, params, a, b) == _outcome(k_product_by_pairs, params, a, b)
+
+
+@st.composite
+def fuse_cases(draw):
+    """Random sums of M, P and F, or single labels, at p 2..12, with x = 0 in
+    about a quarter of the cases; in half of the cases labels that fusion
+    rejects are drawn too: an s outside 1..p, Fa or G."""
+    p = draw(st.integers(2, 12))
+    atoms = st.one_of(
+        st.builds(MSimple, _R, st.integers(1, p)), st.builds(Proj, _R, st.integers(1, p)), _TYPICAL
+    )
+    if draw(st.booleans()):
+        bad_s = st.sampled_from([0, p + 1])
+        atoms = st.one_of(
+            atoms,
+            st.builds(MSimple, _R, bad_s),
+            st.builds(Proj, _R, bad_s),
+            st.builds(FockAtypical, _R, st.integers(1, p - 1)),
+            st.builds(GenVerma, _R, st.integers(1, p)),
+        )
+    sums = st.lists(st.tuples(atoms, st.integers(1, 3)), min_size=1, max_size=4).map(ModuleExpr)
+    operands = st.one_of(sums, atoms)
+    x = ModuleExpr.zero() if draw(st.integers(0, 3)) == 0 else draw(operands)
+    return Params(p), x, draw(operands)
+
+
+@PROPERTY_SETTINGS
+@given(fuse_cases())
+def test_fuse_matches_term_pair_loop(case):
+    params, x, y = case
+    assert _outcome(fuse, params, x, y) == _outcome(fuse_by_term_pairs, params, x, y)
 
 
 def _orbifold_labels(op: OrbifoldParams):
