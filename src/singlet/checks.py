@@ -27,10 +27,13 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, condition: bool, description: str):
+    def check(self, condition: bool, description: str, *labels):
+        """Count one case.  A failing case records ``description`` with the
+        text labels (:func:`label`) of ``labels`` put into its ``{}``
+        fields; a passing case formats nothing."""
         self.cases += 1
         if not condition:
-            self.failures.append(description)
+            self.failures.append(description.format(*map(label, labels)))
 
 
 _TYPICAL_COORDS = (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3), Fraction(5, 6))
@@ -62,7 +65,7 @@ def _suite_associativity(params: Params) -> SuiteResult:
     for x in atoms:
         res.check(
             fusion.fuse(params, unit, x) == ModuleExpr.of(x),
-            f"unit failed at {label(x)}",
+            "unit failed at {}", x,
         )
     # products[i][j] is x_i x x_j, built once here and read by the triple loop.
     products = []
@@ -72,7 +75,7 @@ def _suite_associativity(params: Params) -> SuiteResult:
             xy = fusion.fuse(params, x, y)
             res.check(
                 xy == fusion.fuse(params, y, x),
-                f"commutativity failed at {label(x)}, {label(y)}",
+                "commutativity failed at {}, {}", x, y,
             )
             products[-1].append(xy)
     for x, x_products in zip(atoms, products):
@@ -80,7 +83,7 @@ def _suite_associativity(params: Params) -> SuiteResult:
             for z, yz in zip(atoms, y_products):
                 lhs = fusion.fuse(params, xy, z)
                 rhs = fusion.fuse(params, x, yz)
-                res.check(lhs == rhs, f"associativity failed at {label(x)}, {label(y)}, {label(z)}")
+                res.check(lhs == rhs, "associativity failed at {}, {}, {}", x, y, z)
     return res
 
 
@@ -93,7 +96,7 @@ def _suite_kring(params: Params) -> SuiteResult:
             rhs = fusion.k_product(
                 params, modules.k_class(params, x), modules.k_class(params, y)
             )
-            res.check(lhs == rhs, f"K-ring homomorphism failed at {label(x)}, {label(y)}")
+            res.check(lhs == rhs, "K-ring homomorphism failed at {}, {}", x, y)
     return res
 
 
@@ -105,23 +108,23 @@ def _suite_duality(params: Params) -> SuiteResult:
         e = ModuleExpr.of(x)
         res.check(
             modules.dual(params, modules.dual(params, e)) == e,
-            f"dual involution failed at {label(x)}",
+            "dual involution failed at {}", x,
         )
         res.check(
             modules.k_class(params, modules.dual(params, e))
             == modules.dual(params, modules.k_class(params, e)),
-            f"dual/K-class compatibility failed at {label(x)}",
+            "dual/K-class compatibility failed at {}", x,
         )
         res.check(
             modules.t_grade(params, modules.dual(params, e).atoms()[0])
             == (-modules.t_grade(params, x)) % 2,
-            f"dual grading failed at {label(x)}",
+            "dual grading failed at {}", x,
         )
     for x in atoms:
         for y in atoms:
             lhs = modules.dual(params, fusion.fuse(params, x, y))
             rhs = fusion.fuse(params, modules.dual(params, x), modules.dual(params, y))
-            res.check(lhs == rhs, f"duality of fusion failed at {label(x)}, {label(y)}")
+            res.check(lhs == rhs, "duality of fusion failed at {}, {}", x, y)
     return res
 
 
@@ -136,7 +139,7 @@ def _suite_grading(params: Params) -> SuiteResult:
             for z in fusion.fuse(params, x, y).atoms():
                 res.check(
                     modules.t_grade(params, z) == expected,
-                    f"grading additivity failed at {label(x)}, {label(y)} -> {label(z)}",
+                    "grading additivity failed at {}, {} -> {}", x, y, z,
                 )
     simples = [a for a in atoms if isinstance(a, (MSimple, FockTypical))]
     h21 = h_rs(params, 2, 1)
@@ -146,7 +149,7 @@ def _suite_grading(params: Params) -> SuiteResult:
         balance = (lw - h21 - modules.lowest_weight(params, y)) % 1
         res.check(
             balance == modules.monodromy_phase_with_m21(params, y).exponent,
-            f"balancing failed at {label(y)}",
+            "balancing failed at {}", y,
         )
     composites = [Proj(r, s) for r in range(-1, 3) for s in range(1, p)]
     composites += [FockAtypical(r, s) for r in range(-1, 3) for s in range(1, p)]
@@ -156,7 +159,7 @@ def _suite_grading(params: Params) -> SuiteResult:
         for f in modules.k_class(params, x).atoms():
             res.check(
                 modules.monodromy_phase_with_m21(params, f) == e,
-                f"monodromy not constant on factors of {label(x)}",
+                "monodromy not constant on factors of {}", x,
             )
     for q in sample_coords():
         w = Weight(q, p)
@@ -182,7 +185,7 @@ def _suite_characters(params: Params, order: int) -> SuiteResult:
             res.check(
                 ch_indec(params, fa, order)
                 == ch_expr(params, ModuleExpr.of(MSimple(r, s), MSimple(r + 1, p - s)), order),
-                f"Fock factor identity failed at Fa({r},{s})",
+                "Fock factor identity failed at {}", fa,
             )
             # Independent series oracle: a length-2 Fock module has the
             # graded dimension of a Verma module, and P(r,s) is filtered by
@@ -192,18 +195,20 @@ def _suite_characters(params: Params, order: int) -> SuiteResult:
             base = min(lws)
             shifts = [int(lw - base) for lw in lws]
             two_vermas = [sum(part[k - d] for d in shifts if d <= k) for k in range(order + 1)]
+            proj = Proj(r, s)
             res.check(
-                ch_indec(params, Proj(r, s), order).series() == [QSeries(base, two_vermas)],
-                f"projective factor identity failed at P({r},{s})",
+                ch_indec(params, proj, order).series() == [QSeries(base, two_vermas)],
+                "projective factor identity failed at {}", proj,
             )
             res.check(
                 ch_indec(params, fa, order).series() == [QSeries(lws[0], part)],
-                f"Fock graded dimension failed at Fa({r},{s})",
+                "Fock graded dimension failed at {}", fa,
             )
         for s in range(1, p + 1):
+            simple = MSimple(r, s)
             res.check(
-                ch_indec(params, MSimple(r, s), order) == ch_indec(params, MSimple(2 - r, s), order),
-                f"contragredient characters differ at M({r},{s})",
+                ch_indec(params, simple, order) == ch_indec(params, MSimple(2 - r, s), order),
+                "contragredient characters differ at {}", simple,
             )
     for r in range(1, 5):
         for s in range(1, p + 1):
@@ -229,7 +234,7 @@ def _suite_oracle(params: Params) -> SuiteResult:
         for y in atoms:
             res.check(
                 fusion.chebyshev_fuse(params, x, y) == fusion.fuse(params, x, y),
-                f"oracle disagreement at {label(x)}, {label(y)}",
+                "oracle disagreement at {}, {}", x, y,
             )
     pairing = ModuleExpr.of(*(modules.normalize_atom(params, Proj(1, s)) for s in range(1, p + 1, 2)))
     for q in _TYPICAL_COORDS:
@@ -266,7 +271,7 @@ def _suite_orbifold(params: Params, m: int) -> SuiteResult:
         for y in atoms:
             lhs = orbifold.induce(op, fusion.fuse(params, x, y))
             rhs = orbifold.orbifold_fuse(op, ix, orbifold.induce(op, ModuleExpr.of(y)))
-            res.check(lhs == rhs, f"induction functoriality failed at {label(x)}, {label(y)}")
+            res.check(lhs == rhs, "induction functoriality failed at {}, {}", x, y)
     for r in range(op.r_modulus):
         for s in range(1, p + 1):
             cover, layers = orbifold.orbifold_projective_cover(op, orbifold.WSimple(r, s))
@@ -296,7 +301,7 @@ def _suite_orbifold(params: Params, m: int) -> SuiteResult:
         brute = ModuleExpr.of(*lifts)
         res.check(
             orbifold.orbifold_char_expr(op, atom, depth) == ch_expr(params, brute, depth),
-            f"orbit character window failed at {label(atom)}",
+            "orbit character window failed at {}", atom,
         )
     return res
 

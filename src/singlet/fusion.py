@@ -9,6 +9,12 @@ are not closed-form; they are obtained by multiplying in the Grothendieck
 ring and inverting the (injective) projective-to-K-class map, which is
 triangular in the label order and so is undone by a top-down peel.
 
+:func:`fuse` works on int ids.  Each :class:`Params` has one table of
+interned labels (``_Table``); a product row is cached once per unordered
+pair of ids as a flat tuple of ids and multiplicities, and a product of
+sums adds its rows into one ``{id: mult}`` dict before reading the ids
+back as labels.
+
 :func:`chebyshev_fuse` is an independent derivation path used as an oracle:
 it reduces every product to the degenerate-field recursion
 ``X x M(1,s+1) = (X x M(1,s)) x M(1,2) - X x M(1,s-1)`` together with
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .errors import (
     DomainError,
@@ -186,72 +193,113 @@ _FUSABLE = (MSimple, FockTypical, Proj)
 
 
 def _fusable(params: Params, atom):
-    """Normalized fusable atom with its sort key."""
+    """The normalized form of a fusable atom; raises on any other label."""
     atom = normalize_atom(params, atom)
     if not isinstance(atom, _FUSABLE):
         raise UnsupportedSpecies(f"fusion is not defined for {label(atom)}")
-    return atom, sort_key(atom)
+    return atom
 
 
-# One object per label held by some cached row of ``_fuse_atoms``: rows are
-# re-keyed through it, so equal labels of different rows are the same object
-# and the dict lookups and comparisons of products meet them by identity.
-_ROW_LABELS: dict = {}
+class _Table:
+    """The interned fusable labels of one :class:`Params`.
+
+    ``index`` maps every label seen, both as given and normalized, to the
+    id of its normalized form; ``atoms`` maps an id back to that label, so
+    equal labels are one object.  A label is validated once, on its first
+    sighting; ``P(r,p)`` shares the id of ``M(r,p)``.  Tables are never
+    shared between values of p: a label valid at one p may be invalid at
+    another.
+    """
+
+    __slots__ = ("params", "index", "atoms")
+
+    def __init__(self, params: Params):
+        self.params = params
+        self.index: dict = {}
+        self.atoms: list = []
+
+    def intern(self, atom) -> int:
+        """Id of an atom known to be normalized and fusable."""
+        i = self.index.get(atom)
+        if i is None:
+            i = self.index[atom] = len(self.atoms)
+            self.atoms.append(atom)
+        return i
+
+    def ids(self, x) -> list:
+        """The terms of ``x`` (an expression or a single label) as
+        ``(id, mult)``, in dict order; raises at the first bad label."""
+        index = self.index
+        out = []
+        for atom, mult in x.items() if isinstance(x, ModuleExpr) else ((x, 1),):
+            i = index.get(atom)
+            if i is None:
+                i = index[atom] = self.intern(_fusable(self.params, atom))
+            out.append((i, mult))
+        return out
+
+
+_TABLES: dict = {}
 
 
 @lru_cache(maxsize=None)
-def _fuse_atoms(params: Params, a, b) -> ModuleExpr:
-    """Product of two normalized fusable atoms given in canonical order
-    (MSimple <= FockTypical <= Proj, then by :func:`sort_key`), so the cache
-    keeps one row per unordered pair.  The row's labels are the shared ones
-    of ``_ROW_LABELS``."""
+def _fuse_atoms(t: _Table, i: int, j: int) -> tuple:
+    """Product row of the labels with ids ``i <= j`` in table ``t``, as the
+    flat tuple ``(id, mult, id, mult, ...)``; the cache keeps one row per
+    unordered pair.  On a miss the two labels are put in canonical order
+    (MSimple <= FockTypical <= Proj, then by :func:`sort_key`) and the
+    closed form of the pair is applied, and the row's labels (already
+    normalized by the rules) are interned."""
+    a, b = t.atoms[i], t.atoms[j]
+    if sort_key(b) < sort_key(a):
+        a, b = b, a
     rule = _CLOSED_FORMS.get((type(a), type(b)))
     if rule is not None:
-        row = rule(params, a, b)
+        row = rule(t.params, a, b)
     else:
         # Proj against MSimple or Proj: solve in the Grothendieck ring.  The
         # product of a projective with anything is projective, and
         # projectives are determined by their K-class.
-        row = projective_decompose(params, k_product(params, a, b))
-    return row.map_atoms(lambda atom: _ROW_LABELS.setdefault(atom, atom))
-
-
-def _operand(params: Params, x) -> list:
-    """The terms of ``x`` (an expression or a single label), normalized once
-    and in dict order, as ``(atom, sort_key, mult)``."""
-    out = []
-    for atom, mult in x.items() if isinstance(x, ModuleExpr) else ((x, 1),):
-        atom, key = _fusable(params, atom)
-        out.append((atom, key, mult))
-    return out
+        row = projective_decompose(t.params, k_product(t.params, a, b))
+    intern = t.intern
+    return tuple(chain.from_iterable((intern(atom), mult) for atom, mult in row.items()))
 
 
 def fuse(params: Params, x, y) -> ModuleExpr:
     """Tensor product of two module expressions, bilinear over direct sums.
 
-    Each operand is normalized once, in dict order; every pair of terms is
-    then one cached row of :func:`_fuse_atoms`, looked up in canonical
-    order, and the rows are summed by :meth:`ModuleExpr.combine`.  Equal
-    labels of different rows are one object, so the sum and the comparison
-    of products meet them by identity.  Errors are those of the
-    canonical nested loop: the first bad label among the first term of
-    ``x`` (in sorted order), then every term of ``y``, then the rest of
-    ``x``; ``fuse(0, y)`` is 0 whatever ``y`` holds.
+    Both operands are mapped to ``(id, mult)`` terms through the id table
+    of ``params``; every pair of terms is one cached row of
+    :func:`_fuse_atoms`, and the rows are added into one ``{id: mult}``
+    dict, whose ids are read back as labels once.  Equal labels of
+    different products are one object, so the sum and the comparison of
+    products meet them by identity.  Errors are those of the canonical
+    nested loop: the first bad label among the first term of ``x`` (in
+    sorted order), then every term of ``y``, then the rest of ``x``;
+    ``fuse(0, y)`` is 0 whatever ``y`` holds.
     """
     if isinstance(x, ModuleExpr) and not x:
         return ModuleExpr.zero()
+    t = _TABLES.get(params)
+    if t is None:
+        t = _TABLES[params] = _Table(params)
     try:
-        xs, ys = _operand(params, x), _operand(params, y)
+        xs, ys = t.ids(x), t.ids(y)
     except SingletError:
         # Some label is bad: the canonical loop raises the one to report.
         for _ in term_pairs(x, y, lambda atom: _fusable(params, atom)):
             pass
         raise
-    return ModuleExpr.combine([
-        (ma * mb, _fuse_atoms(params, a, b) if ka <= kb else _fuse_atoms(params, b, a))
-        for a, ka, ma in xs
-        for b, kb, mb in ys
-    ])
+    acc: dict = {}
+    get = acc.get
+    for i, ma in xs:
+        for j, mb in ys:
+            row = iter(_fuse_atoms(t, i, j) if i <= j else _fuse_atoms(t, j, i))
+            n = ma * mb
+            for k, mult in zip(row, row):
+                acc[k] = get(k, 0) + n * mult
+    atoms = t.atoms
+    return ModuleExpr._trusted({atoms[k]: mult for k, mult in acc.items()})
 
 
 # --- independent recursion oracle ---------------------------------------
@@ -352,5 +400,5 @@ def chebyshev_fuse(params: Params, x, y) -> ModuleExpr:
     """Recursion-oracle tensor product; must agree with :func:`fuse`."""
     return ModuleExpr.combine(
         (ma * mb, _cheb_pair(params, a, b))
-        for (a, _), ma, (b, _), mb in term_pairs(x, y, lambda atom: _fusable(params, atom))
+        for a, ma, b, mb in term_pairs(x, y, lambda atom: _fusable(params, atom))
     )

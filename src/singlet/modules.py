@@ -8,10 +8,11 @@ Species
 * ``FockAtypical(r, s)``  length-2 Fock module at an integral weight, s < p
 * ``GenVerma(r, s)``      generalized Verma quotient (structural species)
 
-Labels are frozen values.  Two ``FockTypical`` labels are equal exactly
-when their coordinates have the same (numerator, denominator) ints, and a
-``FockTypical`` equals no label of another species and no number; its hash
-is cached.
+Labels are frozen values with ``__slots__``, so that no label carries a
+``__dict__``: product caches hold thousands of them.  Two ``FockTypical``
+labels are equal exactly when their coordinates have the same (numerator,
+denominator) ints, and a ``FockTypical`` equals no label of another species
+and no number; its hash is cached.
 
 ``Proj(r, p)`` and ``FockAtypical(r, p)`` are never stored; the label
 conventions collapse both to ``MSimple(r, p)`` in :func:`normalize_atom` only.
@@ -32,7 +33,7 @@ valid by construction (no zero or negative multiplicity) and skip that pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
@@ -65,7 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MSimple:
     r: int
     s: int
@@ -73,9 +74,11 @@ class MSimple:
     _RANK = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FockTypical:
     q: Fraction
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
     _TAG = "F"
     _RANK = 1
 
@@ -100,7 +103,7 @@ class FockTypical:
         return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proj:
     r: int
     s: int
@@ -108,7 +111,7 @@ class Proj:
     _RANK = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FockAtypical:
     r: int
     s: int
@@ -116,7 +119,7 @@ class FockAtypical:
     _RANK = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenVerma:
     r: int
     s: int

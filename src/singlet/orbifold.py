@@ -60,14 +60,18 @@ __all__ = [
 @dataclass(frozen=True)
 class OrbifoldParams:
     """Orbifold parameters: singlet p and cyclic order m >= 1.  ``singlet`` is
-    the one :class:`Params` of p, built and checked once; eq/hash/repr use (p, m)."""
+    the one :class:`Params` of p, built and checked once; ``images`` maps each
+    singlet label already induced to its orbifold label (successes only);
+    eq/hash/repr use (p, m)."""
 
     p: int
     m: int
     singlet: Params = field(init=False, repr=False, compare=False)
+    images: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "singlet", Params(self.p))
+        object.__setattr__(self, "images", {})
         if not isinstance(self.m, int) or self.m < 1:
             raise DomainError(f"m must be an integer >= 1, got {self.m!r}")
 
@@ -80,7 +84,7 @@ class OrbifoldParams:
         return 2 * self.p * self.m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WSimple:
     r: int
     s: int
@@ -88,7 +92,7 @@ class WSimple:
     _RANK = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VTypical:
     q: Fraction
     _TAG = "V"
@@ -98,7 +102,7 @@ class VTypical:
         object.__setattr__(self, "q", Fraction(self.q))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RProj:
     r: int
     s: int
@@ -156,6 +160,15 @@ def is_local(op: OrbifoldParams, atom) -> bool:
 
 
 def _induce_atom(op: OrbifoldParams, atom):
+    """The orbifold label of one singlet label, read from ``op.images`` or
+    computed and kept there; a bad label raises and is not kept."""
+    image = op.images.get(atom)
+    if image is None:
+        image = op.images[atom] = _induce_new_atom(op, atom)
+    return image
+
+
+def _induce_new_atom(op: OrbifoldParams, atom):
     atom = normalize_atom(op.singlet, atom)
     if isinstance(atom, MSimple):
         return w_simple(op, atom.r, atom.s)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from singlet.characters import CharacterSum, QSeries, partition_numbers
 from singlet.errors import DomainError, NotProjectiveClass
-from singlet.fusion import _CLOSED_FORMS, _fusable, _fuse_atoms
+from singlet.fusion import _CLOSED_FORMS, _fusable, projective_decompose
 from singlet.modules import (
     FockAtypical,
     FockTypical,
@@ -16,6 +16,7 @@ from singlet.modules import (
     label,
     lowest_weight,
     normalize_atom,
+    sort_key,
     term_pairs,
 )
 from singlet.orbifold import VTypical, WSimple
@@ -248,9 +249,18 @@ def k_product_by_pairs(params, a, b):
 
 def fuse_by_term_pairs(params, x, y):
     """Oracle for ``fusion.fuse``: the canonical nested loop over the sorted
-    terms of x and y, each atom normalized as the loop reaches it, each pair
-    looked up in the ``_fuse_atoms`` cache in species order."""
-    return ModuleExpr.combine(
-        (ma * mb, _fuse_atoms(params, a, b) if ka <= kb else _fuse_atoms(params, b, a))
-        for (a, ka), ma, (b, kb), mb in term_pairs(x, y, lambda atom: _fusable(params, atom))
-    )
+    terms of x and y, each atom normalized as the loop reaches it, and each
+    pair's row built afresh, with no id table and no cache: the closed form
+    of the pair in canonical order, or, for P x M and P x P, the peel of the
+    K-ring product summed pair by pair over the simple factors."""
+    pieces = []
+    for a, ma, b, mb in term_pairs(x, y, lambda atom: _fusable(params, atom)):
+        if sort_key(b) < sort_key(a):
+            a, b = b, a
+        rule = _CLOSED_FORMS.get((type(a), type(b)))
+        if rule is not None:
+            row = rule(params, a, b)
+        else:
+            row = projective_decompose(params, k_product_by_pairs(params, a, b))
+        pieces.append((ma * mb, row))
+    return ModuleExpr.combine(pieces)

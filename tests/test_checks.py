@@ -1,0 +1,95 @@
+"""Failure reports of the check suites: the text of each failing case is
+built only when the case fails, and reads exactly as the eager f-strings
+wrote it."""
+
+import hashlib
+
+import pytest
+
+from singlet import checks, fusion
+from singlet.checks import SuiteResult, run_suite
+from singlet.modules import ModuleExpr, MSimple, Proj
+from singlet.weights import Params
+
+# Suite at p = 2 (orbifold m = 3, character order 6) -> case count, first and
+# last failure text, and the sha256 of all failure texts joined by newlines,
+# when every case is made to fail.  Recorded from the suites as they were
+# when each description was an f-string built before the case was checked.
+EVERY_CASE_FAILING = {
+    "associativity": (
+        9723,
+        "unit failed at M(-2,1)",
+        "associativity failed at F(5/6), F(5/6), F(5/6)",
+        "65f2c173d958b9b6c46392b44797d18dae77cc4feb9a990a6810938c956340b3",
+    ),
+    "kring": (
+        441,
+        "K-ring homomorphism failed at M(-2,1), M(-2,1)",
+        "K-ring homomorphism failed at F(5/6), F(5/6)",
+        "d5ac8a8299f5c2eb178124354b4683e1cf4feb64739e73c6ab951b47dc5e76a4",
+    ),
+    "duality": (
+        516,
+        "dual involution failed at M(-2,1)",
+        "duality of fusion failed at F(5/6), F(5/6)",
+        "24121b86721a8897b78683dc801d9490b4960677a52662b7eae64950d82e1485",
+    ),
+    "grading": (
+        933,
+        "grading additivity failed at M(-2,1), M(-2,1) -> M(-5,1)",
+        "neighbor-weight audit failed at q=9/5 -> F(14/5)",
+        "289ee425b9915970a27ffc14a152a7989acd54f049a9763832414a8d3bf35073",
+    ),
+    "characters": (
+        53,
+        "Fock factor identity failed at Fa(-3,1)",
+        "contragredient Fock characters differ at q=5/6",
+        "564e5c1bc3478008f359ae02eb5c7f5f6da0f4aeb50c0122ccd528e449aca11b",
+    ),
+    "oracle": (
+        461,
+        "oracle disagreement at M(-2,1), M(-2,1)",
+        "triple product identity failed at q=1/3, mu=5/6",
+        "e34a10bb7099474b1d72da75756812db4764bb6f6d3e3196172185e5074f2b72",
+    ),
+    "orbifold": (
+        345,
+        "simple count is not 2pm^2 at (p,m)=(2,3)",
+        "orbit character window failed at W(3,2)",
+        "9fb7574d2bea121a085ff7f47800afcb103cfb1038b517ac0ae3a89d98688a69",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", checks.SUITE_NAMES)
+def test_failure_text_of_every_case(monkeypatch, name):
+    check = SuiteResult.check
+    monkeypatch.setattr(
+        SuiteResult, "check", lambda self, condition, *description: check(self, False, *description)
+    )
+    [res] = run_suite(name, Params(2), m=3, order=6)
+    cases, first, last, digest = EVERY_CASE_FAILING[name]
+    assert res.cases == len(res.failures) == cases
+    assert (res.failures[0], res.failures[-1]) == (first, last)
+    assert hashlib.sha256("\n".join(res.failures).encode()).hexdigest() == digest
+
+
+def test_one_wrong_product_is_one_failure(monkeypatch):
+    fuse = fusion.fuse
+
+    def wrong(params, x, y):
+        if (x, y) == (MSimple(1, 2), Proj(0, 1)):
+            return ModuleExpr.zero()
+        return fuse(params, x, y)
+
+    monkeypatch.setattr(fusion, "fuse", wrong)
+    [res] = run_suite("oracle", Params(2))
+    assert res.failures == ["oracle disagreement at M(1,2), P(0,1)"]
+
+
+def test_passing_cases_format_nothing():
+    res = SuiteResult("s")
+    res.check(True, "{} {}", object(), object())
+    res.check(False, "at {}, {}", MSimple(1, 2), Proj(0, 1))
+    res.check(False, "plain")
+    assert (res.cases, res.failures) == (3, ["at M(1,2), P(0,1)", "plain"])

@@ -296,19 +296,40 @@ def test_swapped_projective_product_adds_no_row():
     assert _fuse_atoms.cache_info().misses == misses
 
 
-def test_equal_labels_of_cached_rows_are_one_object(p3):
+def test_equal_labels_are_one_object_within_a_params(p3):
     atoms = universe(p3)
     shared = {}
     for x in atoms:
         for y in atoms:
             for atom in fuse(p3, x, y).atoms():
                 assert shared.setdefault(atom, atom) is atom
-    # M(1,3) is a summand of both M(1,2) x M(1,2) and M(1,1) x M(1,3).
+    # M(1,3) is a summand of both M(1,2) x M(1,2) and M(1,1) x M(1,3); the
+    # second product is asked with new label objects and another Params(3).
     first = fuse(p3, MSimple(1, 2), MSimple(1, 2)).atoms()
-    second = fuse(p3, MSimple(1, 1), MSimple(1, 3)).atoms()
+    second = fuse(Params(3), ModuleExpr.of(MSimple(1, 1)), MSimple(1, 3)).atoms()
     assert MSimple(1, 3) in first
     assert second == [MSimple(1, 3)]
-    assert first[first.index(MSimple(1, 3))] is second[0]
+    assert first[first.index(MSimple(1, 3))] is second[0] is shared[MSimple(1, 3)]
+
+
+def test_a_label_valid_at_one_p_still_raises_at_a_smaller_p():
+    assert fuse(Params(3), MSimple(1, 3), MSimple(1, 1)) == ModuleExpr.of(MSimple(1, 3))
+    with pytest.raises(DomainError, match=re.escape("M(1,3)")):
+        fuse(Params(2), MSimple(1, 3), MSimple(1, 1))
+    with pytest.raises(DomainError, match=re.escape("M(1,3)")):
+        fuse(Params(2), MSimple(1, 1), ModuleExpr.of(MSimple(1, 3)))
+
+
+def test_projective_at_s_equal_p_reads_the_simple_row():
+    # p = 29 is used by no other test, so no pair below is cached yet.
+    params = Params(29)
+    x = ModuleExpr([(MSimple(2, 3), 1), (F("1/2"), 2)])
+    product = fuse(params, Proj(-1, 29), x)
+    misses = _fuse_atoms.cache_info().misses
+    assert fuse(params, MSimple(-1, 29), x) == product
+    assert fuse(params, x, Proj(-1, 29)) == product
+    assert _fuse_atoms.cache_info().misses == misses
+    assert fuse(params, Proj(-1, 29), MSimple(1, 1)) == ModuleExpr.of(MSimple(-1, 29))
 
 
 def test_fuse_bilinear(p2):

@@ -141,6 +141,20 @@ def test_induce_reports_the_first_bad_term(op22, terms, error, atom):
         induce(op22, ModuleExpr.of(*terms))
 
 
+def test_induce_keeps_the_images_of_good_labels_only():
+    op = OrbifoldParams(2, 2)
+    good = ModuleExpr.of(MSimple(5, 1), Proj(6, 1), Proj(3, 2), FockTypical(Fraction(1, 2)))
+    expected = ModuleExpr.of(WSimple(1, 1), RProj(2, 1), WSimple(3, 2), VTypical(Fraction(1, 2)))
+    assert induce(op, good) == expected
+    assert set(op.images) == set(good.atoms())
+    bad = good + ModuleExpr.of(FockAtypical(1, 1), FockTypical(Fraction(1, 3)))
+    with pytest.raises(NotLocal, match=re.escape("F(1/3)")):
+        induce(op, bad)
+    assert set(op.images) == set(good.atoms())
+    assert induce(op, good) == expected
+    assert OrbifoldParams(2, 2) == op and hash(OrbifoldParams(2, 2)) == hash(op)
+
+
 def test_lift_atom_roundtrip(op22):
     for atom in list_simples(op22):
         assert induce(op22, ModuleExpr.of(lift_atom(op22, atom))) == ModuleExpr.of(atom)

@@ -17,6 +17,7 @@ from singlet.modules import (
     ModuleExpr,
     MSimple,
     Proj,
+    dual,
     k_class,
     loewy_layers,
     lowest_weight,
@@ -110,6 +111,28 @@ def test_fuse_is_bilinear(case):
 def test_fuse_is_commutative(case):
     params, x, _, y = case
     assert fuse(params, x, y) == fuse(params, y, x)
+
+
+@PROPERTY_SETTINGS
+@given(fusable_triples())
+def test_fuse_has_the_unit_m11(case):
+    params, x, _, _ = case
+    unit = MSimple(1, 1)
+    assert fuse(params, unit, x) == x == fuse(params, x, unit)
+
+
+@PROPERTY_SETTINGS
+@given(fusable_triples(max_terms=3))
+def test_fuse_is_associative(case):
+    params, x, y, z = case
+    assert fuse(params, fuse(params, x, y), z) == fuse(params, x, fuse(params, y, z))
+
+
+@PROPERTY_SETTINGS
+@given(fusable_triples())
+def test_fuse_commutes_with_duality(case):
+    params, x, _, y = case
+    assert dual(params, fuse(params, x, y)) == fuse(params, dual(params, x), dual(params, y))
 
 
 @PROPERTY_SETTINGS
