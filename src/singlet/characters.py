@@ -17,14 +17,13 @@ Everything is exact integer arithmetic.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
+from _thread import allocate_lock
 from fractions import Fraction
 from operator import add, sub
 
 from .errors import DomainError
 from .modules import FockTypical, ModuleExpr, k_class, lowest_weight
-from .weights import Params, h_rs
+from .weights import Params, Value, h_rs
 
 __all__ = [
     "QSeries",
@@ -38,7 +37,7 @@ __all__ = [
 ]
 
 _partitions = [1]
-_partitions_lock = threading.Lock()
+_partitions_lock = allocate_lock()
 _PARTITION_BLOCK = 64
 
 
@@ -92,16 +91,28 @@ def partition_numbers(n: int) -> list[int]:
         return _partitions[: n + 1]
 
 
-@dataclass(frozen=True)
-class QSeries:
+_setattr = object.__setattr__
+
+
+class QSeries(Value):
     """Truncated series sum_n coeffs[n] * q^(h0 + n)."""
 
-    h0: Fraction
-    coeffs: tuple
+    __slots__ = _fields = ("h0", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "h0", Fraction(self.h0))
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+    def __init__(self, h0: Fraction, coeffs: tuple):
+        _setattr(self, "h0", Fraction(h0))
+        _setattr(self, "coeffs", tuple(int(c) for c in coeffs))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.h0 == other.h0 and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.h0, self.coeffs))
+
+    def __repr__(self):
+        return f"QSeries(h0={self.h0!r}, coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:

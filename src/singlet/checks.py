@@ -7,7 +7,6 @@ subcommand and the acceptance tests both drive these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import fusion, modules, orbifold
@@ -17,11 +16,25 @@ from .weights import Params, Weight, allowed_neighbor_weights, conformal_weight,
 
 __all__ = ["SUITE_NAMES", "SuiteResult", "universe", "run_suite", "run_suites"]
 
-@dataclass
 class SuiteResult:
-    name: str
-    cases: int = 0
-    failures: list = field(default_factory=list)
+    """The name of a suite, its number of cases and the text of each
+    failing case; each result owns its ``failures`` list."""
+
+    __slots__ = ("name", "cases", "failures")
+    __hash__ = None
+
+    def __init__(self, name: str, cases: int = 0, failures: list | None = None):
+        self.name = name
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.cases, self.failures) == (other.name, other.cases, other.failures)
+
+    def __repr__(self):
+        return f"SuiteResult(name={self.name!r}, cases={self.cases!r}, failures={self.failures!r})"
 
     @property
     def ok(self) -> bool:

@@ -33,12 +33,11 @@ valid by construction (no zero or negative multiplicity) and skip that pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
 from .errors import DomainError, NonSemisimpleTwist, UnsupportedSpecies
-from .weights import Params, UnitPhase, Weight, conformal_weight, h_rs
+from .weights import Params, UnitPhase, Value, Weight, conformal_weight, h_rs
 
 __all__ = [
     "MSimple",
@@ -66,33 +65,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class MSimple:
-    r: int
-    s: int
+_setattr = object.__setattr__
+
+
+class PairLabel(Value):
+    """A label ``Name(r, s)`` of two ints: equal only to a label of the
+    same class with the same (r, s), hashed as the tuple (r, s)."""
+
+    __slots__ = _fields = ("r", "s")
+
+    def __init__(self, r: int, s: int):
+        _setattr(self, "r", r)
+        _setattr(self, "s", s)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.r == other.r and self.s == other.s
+
+    def __hash__(self):
+        return hash((self.r, self.s))
+
+    def __repr__(self):
+        return f"{self.__class__.__name__}(r={self.r!r}, s={self.s!r})"
+
+
+class MSimple(PairLabel):
+    __slots__ = ()
     _TAG = "M"
     _RANK = 0
 
 
-@dataclass(frozen=True, slots=True)
-class FockTypical:
-    q: Fraction
-    _key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+class FockTypical(Value):
+    __slots__ = ("q", "_key", "_hash")
+    _fields = ("q",)
     _TAG = "F"
     _RANK = 1
 
-    def __post_init__(self):
-        q = Fraction(self.q)
+    def __init__(self, q: Fraction):
+        q = Fraction(q)
         if q.denominator == 1:
             raise DomainError(f"typical Fock coordinate must be non-integral, got {q}")
-        object.__setattr__(self, "q", q)
+        _setattr(self, "q", q)
         # Fraction hashing and equality are slow and these atoms are dict
         # keys on every product: equality compares the coordinate's
-        # (numerator, denominator) ints, and the hash is the one the
-        # dataclass would compute, cached.
-        object.__setattr__(self, "_key", (q.numerator, q.denominator))
-        object.__setattr__(self, "_hash", hash((q,)))
+        # (numerator, denominator) ints, and the hash of (q,) is cached.
+        _setattr(self, "_key", (q.numerator, q.denominator))
+        _setattr(self, "_hash", hash((q,)))
 
     def __eq__(self, other):
         if other.__class__ is not FockTypical:
@@ -102,30 +121,26 @@ class FockTypical:
     def __hash__(self):
         return self._hash
 
+    def __repr__(self):
+        return f"FockTypical(q={self.q!r})"
 
-@dataclass(frozen=True, slots=True)
-class Proj:
-    r: int
-    s: int
+
+class Proj(PairLabel):
+    __slots__ = ()
     _TAG = "P"
     _RANK = 2
 
 
-@dataclass(frozen=True, slots=True)
-class FockAtypical:
-    r: int
-    s: int
+class FockAtypical(PairLabel):
+    __slots__ = ()
     _TAG = "Fa"
     _RANK = 3
 
 
-@dataclass(frozen=True, slots=True)
-class GenVerma:
-    r: int
-    s: int
+class GenVerma(PairLabel):
+    __slots__ = ()
     _TAG = "G"
     _RANK = 4
-
 
 
 def label(atom) -> str:

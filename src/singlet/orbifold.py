@@ -18,7 +18,6 @@ depend on the chosen lifts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import CharacterSum, ch_expr
@@ -28,6 +27,7 @@ from .modules import (
     FockTypical,
     ModuleExpr,
     MSimple,
+    PairLabel,
     Proj,
     as_expr,
     defining_coord,
@@ -37,7 +37,7 @@ from .modules import (
     sort_key,
     term_pairs,
 )
-from .weights import Params
+from .weights import Params, Value
 
 __all__ = [
     "OrbifoldParams",
@@ -57,23 +57,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrbifoldParams:
+_setattr = object.__setattr__
+
+
+class OrbifoldParams(Value):
     """Orbifold parameters: singlet p and cyclic order m >= 1.  ``singlet`` is
     the one :class:`Params` of p, built and checked once; ``images`` maps each
     singlet label already induced to its orbifold label (successes only);
     eq/hash/repr use (p, m)."""
 
-    p: int
-    m: int
-    singlet: Params = field(init=False, repr=False, compare=False)
-    images: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("p", "m", "singlet", "images")
+    _fields = ("p", "m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "singlet", Params(self.p))
-        object.__setattr__(self, "images", {})
-        if not isinstance(self.m, int) or self.m < 1:
-            raise DomainError(f"m must be an integer >= 1, got {self.m!r}")
+    def __init__(self, p: int, m: int):
+        _setattr(self, "p", p)
+        _setattr(self, "m", m)
+        _setattr(self, "singlet", Params(p))
+        _setattr(self, "images", {})
+        if not isinstance(m, int) or m < 1:
+            raise DomainError(f"m must be an integer >= 1, got {m!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.m == other.m
+
+    def __hash__(self):
+        return hash((self.p, self.m))
+
+    def __repr__(self):
+        return f"OrbifoldParams(p={self.p!r}, m={self.m!r})"
 
     @property
     def r_modulus(self) -> int:
@@ -84,28 +97,34 @@ class OrbifoldParams:
         return 2 * self.p * self.m
 
 
-@dataclass(frozen=True, slots=True)
-class WSimple:
-    r: int
-    s: int
+class WSimple(PairLabel):
+    __slots__ = ()
     _TAG = "W"
     _RANK = 5
 
 
-@dataclass(frozen=True, slots=True)
-class VTypical:
-    q: Fraction
+class VTypical(Value):
+    __slots__ = _fields = ("q",)
     _TAG = "V"
     _RANK = 6
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
+    def __init__(self, q: Fraction):
+        _setattr(self, "q", Fraction(q))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.q == other.q
+
+    def __hash__(self):
+        return hash((self.q,))
+
+    def __repr__(self):
+        return f"VTypical(q={self.q!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class RProj:
-    r: int
-    s: int
+class RProj(PairLabel):
+    __slots__ = ()
     _TAG = "R"
     _RANK = 7
 

@@ -79,7 +79,11 @@ class _Scanner:
             self.pos += 1
         if self.pos == digits:
             self.error("expected an integer", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:
+            # More digits than the interpreter converts (sys.get_int_max_str_digits).
+            self.error("integer literal too long", start)
 
     def rational(self) -> Fraction:
         num = self.integer()

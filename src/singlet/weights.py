@@ -10,7 +10,6 @@ lattice itself).  Everything is a ``fractions.Fraction``; no floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -30,46 +29,96 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Params:
+_setattr = object.__setattr__
+
+
+class Value:
+    """Immutable value object.
+
+    A subclass lists its fields in ``__slots__`` and sets each once in
+    ``__init__`` with ``object.__setattr__``; ``_fields`` names the
+    constructor arguments, which is what pickling and copying rebuild the
+    object from.  Equality, hashing and the repr are written out per class.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+
+class Params(Value):
     """Family parameter ``p >= 2`` of the singlet algebra."""
 
-    p: int
+    __slots__ = _fields = ("p",)
 
-    def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 2:
-            raise DomainError(f"p must be an integer >= 2, got {self.p!r}")
+    def __init__(self, p: int):
+        if not isinstance(p, int) or p < 2:
+            raise DomainError(f"p must be an integer >= 2, got {p!r}")
+        _setattr(self, "p", p)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p,))
+
+    def __repr__(self):
+        return f"Params(p={self.p!r})"
 
     @property
     def central_charge(self) -> Fraction:
         return 13 - 6 * Fraction(self.p) - 6 * Fraction(1, self.p)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Value):
     """Coordinate ``q`` of the weight q*(alpha_minus/2), with its ``p``."""
 
-    q: Fraction
-    p: int
+    __slots__ = _fields = ("q", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
+    def __init__(self, q: Fraction, p: int):
+        _setattr(self, "q", Fraction(q))
+        _setattr(self, "p", p)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.q == other.q and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.q, self.p))
 
     def __repr__(self):
         return f"Weight({self.q}, p={self.p})"
 
 
-@dataclass(frozen=True)
-class UnitPhase:
+class UnitPhase(Value):
     """The root of unity exp(2*pi*i*e), stored as the exponent e in [0, 1).
 
     Phases multiply by adding exponents mod 1, so equality is exact.
     """
 
-    exponent: Fraction
+    __slots__ = _fields = ("exponent",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", Fraction(self.exponent) % 1)
+    def __init__(self, exponent: Fraction):
+        _setattr(self, "exponent", Fraction(exponent) % 1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exponent == other.exponent
+
+    def __hash__(self):
+        return hash((self.exponent,))
 
     def __mul__(self, other: "UnitPhase") -> "UnitPhase":
         return UnitPhase(self.exponent + other.exponent)

@@ -101,6 +101,30 @@ def test_non_ascii_input_is_a_syntax_error(p2, text, offset):
     assert f"(at byte {offset})" in msg
 
 
+_INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_DIGIT_LIMIT, reason="this interpreter converts integers of any length")
+@pytest.mark.parametrize(
+    "template, offset",
+    [
+        ("{}*M(1,1)", 0),
+        ("-{}*M(1,1)", 0),
+        ("M( {},1)", 3),
+        ("M(1,-{})", 4),
+        ("F({}/7)", 2),
+        ("F(1/ {})", 5),
+    ],
+)
+def test_overlong_integer_literal_is_a_syntax_error(p2, template, offset):
+    text = template.format("9" * (_INT_DIGIT_LIMIT + 1))
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text, p2)
+    assert err.value.offset == offset
+    code, out, msg = run_cli("--p", "2", "fuse", "--", text, "M(1,1)")
+    assert (code, out, msg) == (1, "", f"error: integer literal too long (at byte {offset})\n")
+
+
 def test_scanner_classes_are_ascii_digits_and_whitespace():
     assert _DIGITS == frozenset(string.digits)
     assert _SPACE == frozenset(string.whitespace)
@@ -262,12 +286,21 @@ def test_cli_help_exits_zero():
     ) in " ".join(out.split())
 
 
-def test_cli_import_leaves_typing_and_string_unloaded():
+def _loaded_by_cli_import(*names):
     # -S keeps site hooks, which may import anything, out of the picture.
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import singlet.cli; "
-        "print('typing' in sys.modules, 'string' in sys.modules)"
+        f"print(*[name for name in {names!r} if name in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "False"]
+    return out.stdout.split()
+
+
+def test_cli_import_leaves_typing_and_string_unloaded():
+    assert _loaded_by_cli_import("typing", "string") == []
+
+
+def test_cli_import_leaves_dataclasses_and_threading_unloaded():
+    # dataclasses pulls in inspect, ast, dis and tokenize.
+    assert _loaded_by_cli_import("dataclasses", "inspect", "ast", "dis", "tokenize", "threading") == []
