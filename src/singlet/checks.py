@@ -80,23 +80,27 @@ def _suite_associativity(params: Params) -> SuiteResult:
             fusion.fuse(params, unit, x) == ModuleExpr.of(x),
             "unit failed at {}", x,
         )
-    # products[i][j] is x_i x x_j, built once here and read by the triple loop.
-    products = []
     for x in atoms:
-        products.append([])
         for y in atoms:
-            xy = fusion.fuse(params, x, y)
             res.check(
-                xy == fusion.fuse(params, y, x),
+                fusion.fuse(params, x, y) == fusion.fuse(params, y, x),
                 "commutativity failed at {}, {}", x, y,
             )
-            products[-1].append(xy)
-    for x, x_products in zip(atoms, products):
-        for y, xy, y_products in zip(atoms, x_products, products):
-            for z, yz in zip(atoms, y_products):
-                lhs = fusion.fuse(params, xy, z)
-                rhs = fusion.fuse(params, x, yz)
-                res.check(lhs == rhs, "associativity failed at {}, {}, {}", x, y, z)
+    # The triple loop runs on the ids of the fusion table.  singles[i] is
+    # x_i as the flat terms (id, 1), and rows[i][j] is the cached product row
+    # of x_i and x_j itself, not a copy.  Both sides are {id: mult} sums,
+    # which are equal exactly when the expressions are.
+    t = fusion.id_table(params)
+    singles = [t.ids(x) for x in atoms]
+    rows = [[t.row(xs[0], ys[0]) for ys in singles] for xs in singles]
+    product = t.product
+    for x, xs, x_rows in zip(atoms, singles, rows):
+        for y, xy, y_rows in zip(atoms, x_rows, rows):
+            for z, zs, yz in zip(atoms, singles, y_rows):
+                res.check(
+                    product(xy, zs) == product(xs, yz),
+                    "associativity failed at {}, {}, {}", x, y, z,
+                )
     return res
 
 

@@ -126,8 +126,23 @@ def _layers_text(layers) -> str:
     return " | ".join(", ".join(label(a) for a in layer) for layer in layers)
 
 
+def _printed(to_text):
+    """``to_text()``, with the interpreter's limit on the digits of an int
+    turned into text reported as a user error: a coordinate of thousands of
+    digits has a conformal weight of twice as many.  ``to_text`` only turns
+    computed values into text, so its only ValueError is that limit."""
+    try:
+        return to_text()
+    except ValueError:
+        raise SingletError(
+            f"the result has a number of more than {sys.get_int_max_str_digits()} digits, "
+            "too long to print"
+        ) from None
+
+
 def _phase_table(call: _Call, value_of) -> _Output:
-    table = [(label(atom), str(value_of(atom))) for atom in call.singlet_expr(call.args.x).atoms()]
+    values = [(label(atom), value_of(atom)) for atom in call.singlet_expr(call.args.x).atoms()]
+    table = _printed(lambda: [(atom, str(value)) for atom, value in values])
     return _Output(
         [{"atom": atom, "value": value} for atom, value in table],
         "\n".join(f"{atom}: {value}" for atom, value in table),
@@ -173,7 +188,9 @@ def _char(call: _Call) -> _Output:
         result = orbifold_char_expr(call.orbifold(), expr, order)
     else:
         result = ch_expr(call.params, expr, order)
-    return _Output(result.to_json(), "\n".join(str(s) for s in result.series()) or "0")
+    return _printed(
+        lambda: _Output(result.to_json(), "\n".join(str(s) for s in result.series()) or "0")
+    )
 
 
 def _grade(call: _Call) -> _Output:
@@ -192,9 +209,10 @@ def _verma(call: _Call) -> _Output:
     r, s = call.args.r, call.args.s
     factors = verma_quotient_factors(call.params, r, s)
     layers = loewy_layers(call.params, GenVerma(r, s))
-    h0 = lowest_weight(call.params, GenVerma(r, s))
+    weight = lowest_weight(call.params, GenVerma(r, s))
+    h0 = _printed(lambda: str(weight))
     return _Output(
-        {"r": r, "s": s, "factors": factors.to_json(), "layers": _layers_json(layers), "h0": str(h0)},
+        {"r": r, "s": s, "factors": factors.to_json(), "layers": _layers_json(layers), "h0": h0},
         f"G({r},{s}): factors = {factors}; layers = {_layers_text(layers)}; h0 = {h0}",
     )
 

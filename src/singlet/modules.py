@@ -103,7 +103,8 @@ class FockTypical(Value):
     _RANK = 1
 
     def __init__(self, q: Fraction):
-        q = Fraction(q)
+        if q.__class__ is not Fraction:
+            q = Fraction(q)
         if q.denominator == 1:
             raise DomainError(f"typical Fock coordinate must be non-integral, got {q}")
         _setattr(self, "q", q)

@@ -87,6 +87,40 @@ def test_one_wrong_product_is_one_failure(monkeypatch):
     assert res.failures == ["oracle disagreement at M(1,2), P(0,1)"]
 
 
+@pytest.fixture
+def fresh_rows(monkeypatch):
+    """Empty id tables and product cache for the test; afterwards the cache
+    is emptied again and the old tables are back, so no row made during the
+    test outlives it."""
+    monkeypatch.setattr(fusion, "_TABLES", {})
+    fusion._fuse_atoms.cache_clear()
+    yield
+    fusion._fuse_atoms.cache_clear()
+
+
+def test_one_wrong_row_fails_associativity_at_that_pair(monkeypatch, fresh_rows):
+    # M(1,2) x M(1,2) = M(1,1) + M(1,3) at p = 3; drop M(1,3).  The triple
+    # loop reads the cached rows without going through ``fuse``.
+    rule = fusion.fuse_simple_simple_atypical
+
+    def wrong(params, r, s, r2, s2):
+        if (r, s, r2, s2) == (1, 2, 1, 2):
+            return ModuleExpr.of(MSimple(1, 1))
+        return rule(params, r, s, r2, s2)
+
+    monkeypatch.setattr(fusion, "fuse_simple_simple_atypical", wrong)
+    [res] = run_suite("associativity", Params(3))
+    assert res.cases == 30783
+    assert all(f.startswith("associativity failed at ") for f in res.failures)
+    # x x (M(1,2) x M(1,2)) reads the wrong row, (x x M(1,2)) x M(1,2) does not.
+    assert "associativity failed at M(-2,1), M(1,2), M(1,2)" in res.failures
+    assert "associativity failed at M(1,2), M(1,2), M(-2,1)" in res.failures
+    monkeypatch.setattr(fusion, "fuse_simple_simple_atypical", rule)
+    fusion._fuse_atoms.cache_clear()
+    fusion._TABLES.clear()
+    assert run_suite("associativity", Params(3)) == [SuiteResult("associativity", 30783)]
+
+
 def test_passing_cases_format_nothing():
     res = SuiteResult("s")
     res.check(True, "{} {}", object(), object())

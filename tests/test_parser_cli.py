@@ -125,6 +125,27 @@ def test_overlong_integer_literal_is_a_syntax_error(p2, template, offset):
     assert (code, out, msg) == (1, "", f"error: integer literal too long (at byte {offset})\n")
 
 
+@pytest.mark.skipif(not _INT_DIGIT_LIMIT, reason="this interpreter converts integers of any length")
+def test_result_past_the_int_digit_limit_is_a_user_error():
+    # The label's digits are within the limit, but a conformal weight squares
+    # the denominator (or r), which takes it past the limit.
+    big = "7" * (_INT_DIGIT_LIMIT * 3 // 4)
+    typical = f"F(1/{big})"
+    message = f"error: the result has a number of more than {_INT_DIGIT_LIMIT} digits, too long to print\n"
+    for argv in (
+        ["--order", "2", "char", typical],
+        ["--format", "json", "--order", "2", "char", typical],
+        ["twist", typical],
+        ["--format", "json", "twist", typical],
+        ["verma", big, "1"],
+    ):
+        assert run_cli("--p", "2", *argv) == (1, "", message), argv[:-1]
+    for argv in (["dual", typical], ["grade", typical], ["fuse", typical, "M(1,1)"]):
+        code, out, err = run_cli("--p", "2", *argv)
+        assert (code, err) == (0, ""), argv[0]
+        assert big in out
+
+
 def test_scanner_classes_are_ascii_digits_and_whitespace():
     assert _DIGITS == frozenset(string.digits)
     assert _SPACE == frozenset(string.whitespace)
