@@ -28,6 +28,7 @@ from .errors import (
 from .fusion import (
     chebyshev_fuse,
     fuse,
+    fuse_proj_simple,
     fuse_proj_typical,
     fuse_simple_simple_atypical,
     fuse_simple_typical,

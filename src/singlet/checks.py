@@ -109,11 +109,12 @@ def _suite_kring(params: Params) -> SuiteResult:
     atoms = universe(params)
     for x in atoms:
         for y in atoms:
-            lhs = modules.k_class(params, fusion.fuse(params, x, y))
-            rhs = fusion.k_product(
-                params, modules.k_class(params, x), modules.k_class(params, y)
-            )
-            res.check(lhs == rhs, "K-ring homomorphism failed at {}, {}", x, y)
+            product = fusion.fuse(params, x, y)
+            rhs = fusion.k_product(params, modules.k_class(params, x), modules.k_class(params, y))
+            ok = modules.k_class(params, product) == rhs
+            if Proj in (type(x), type(y)):  # the product is projective: the peel gives it back
+                ok = ok and fusion.projective_decompose(params, rhs) == product
+            res.check(ok, "K-ring homomorphism failed at {}, {}", x, y)
     return res
 
 

@@ -1,13 +1,13 @@
 """Tensor products of module expressions.
 
-The four closed-form rules cover simple x simple, simple x typical,
-projective x typical, and typical x typical.  Tensoring is exact, so the
-Grothendieck-ring product is the class of the fusion product of the
-classes, and a class holds only simple labels, whose products are all
-closed-form.  Products of a projective with a simple or another projective
-are not closed-form; they are obtained by multiplying in the Grothendieck
-ring and inverting the (injective) projective-to-K-class map, which is
-triangular in the label order and so is undone by a top-down peel.
+Six closed-form rules, one per species pair, give every product of two
+labels; projective x projective sums projective x simple over the
+composition factors of one operand, since P x - is exact and lands in
+projectives.  Tensoring is exact, so the Grothendieck-ring product
+(:func:`k_product`) is the class of the fusion product of the classes.
+Inverting the injective projective-to-K-class map by a top-down peel
+(:func:`projective_decompose`) derives every product with a projective
+operand a second way, and the ``kring`` suite compares the two.
 
 :func:`fuse` works on int ids.  Each :class:`Params` has one table of
 interned labels (``_Table``); a product row is cached once per unordered
@@ -60,6 +60,7 @@ __all__ = [
     "fuse",
     "fuse_simple_simple_atypical",
     "fuse_simple_typical",
+    "fuse_proj_simple",
     "fuse_proj_typical",
     "fuse_typical_typical",
     "k_product",
@@ -81,18 +82,39 @@ def _check_s(p: int, s: int, what: str, top: int | None = None):
         raise DomainError(f"{what} needs 1 <= s <= {top}, got s={s}")
 
 
+def _ranges(p: int, s: int, s2: int) -> tuple:
+    """The labels A(s,s2) = |s-s2|+1, ..., min(s+s2-1, 2p-1-s-s2) and
+    B(s,s2) = 2p+1-s-s2, ..., p, stepping by 2 (empty when the bounds cross)."""
+    a = range(abs(s - s2) + 1, min(s + s2 - 1, 2 * p - 1 - s - s2) + 1, 2)
+    return a, range(2 * p + 1 - s - s2, p + 1, 2)
+
+
 def fuse_simple_simple_atypical(params: Params, r: int, s: int, r2: int, s2: int) -> ModuleExpr:
-    """Product of the atypical simples at (r, s) and (r2, s2)."""
+    """Product of the atypical simples at (r, s) and (r2, s2): M(R,l) for l
+    in A(s,s2) and P(R,l) for l in B(s,s2), with R = r + r2 - 1."""
     p = params.p
     _check_s(p, s, "atypical label")
     _check_s(p, s2, "atypical label")
     rr = r + r2 - 1
-    # Both index ranges step by 2 and are empty when their bounds cross.
-    simple = range(abs(s - s2) + 1, min(s + s2 - 1, 2 * p - 1 - s - s2) + 1, 2)
-    projective = range(2 * p + 1 - s - s2, p + 1, 2)
+    simple, projective = _ranges(p, s, s2)
     return ModuleExpr.of(
         *(MSimple(rr, l) for l in simple),
         *(normalize_atom(params, Proj(rr, l)) for l in projective),
+    )
+
+
+def fuse_proj_simple(params: Params, r: int, s: int, r2: int, s2: int) -> ModuleExpr:
+    """P(r,s) x M(r2,s2), s < p: P(R,l) for l in A(s,s2), 2 P(R,l) for l in
+    B(s,s2), and P(R-1,l) + P(R+1,l) for l in B(p-s,s2); R = r + r2 - 1."""
+    p = params.p
+    _check_s(p, s, "projective label", top=p - 1)
+    _check_s(p, s2, "atypical label")
+    rr = r + r2 - 1
+    once, twice = _ranges(p, s, s2)
+    flanks = _ranges(p, p - s, s2)[1]
+    return ModuleExpr.of(
+        *(normalize_atom(params, Proj(rr, l)) for l in chain(once, twice, twice)),
+        *(normalize_atom(params, Proj(r0, l)) for l in flanks for r0 in (rr - 1, rr + 1)),
     )
 
 
@@ -145,8 +167,12 @@ def fuse_typical_typical(params: Params, q, q2) -> ModuleExpr:
 _CLOSED_FORMS = {
     (MSimple, MSimple): lambda params, a, b: fuse_simple_simple_atypical(params, a.r, a.s, b.r, b.s),
     (MSimple, FockTypical): lambda params, a, b: fuse_simple_typical(params, a.r, a.s, b.q),
+    (MSimple, Proj): lambda params, a, b: fuse_proj_simple(params, b.r, b.s, a.r, a.s),
     (FockTypical, FockTypical): lambda params, a, b: fuse_typical_typical(params, a.q, b.q),
     (FockTypical, Proj): lambda params, a, b: fuse_proj_typical(params, b.r, b.s, a.q),
+    (Proj, Proj): lambda params, a, b: ModuleExpr.combine(
+        (n, fuse_proj_simple(params, a.r, a.s, f.r, f.s)) for f, n in k_class(params, b).items()
+    ),
 }
 
 
@@ -155,8 +181,7 @@ def k_product(params: Params, a, b) -> ModuleExpr:
     fusion product of their K-classes.
 
     Tensoring is exact, so [X][Y] = [X x Y].  A K-class holds only simple
-    labels, and every product of simples is closed-form, so this never
-    comes back here through the projective fallback of :func:`fuse`."""
+    labels, so this needs only the closed forms of simple pairs."""
     return k_class(params, fuse(params, k_class(params, a), k_class(params, b)))
 
 
@@ -292,14 +317,7 @@ def _fuse_atoms(t: _Table, i: int, j: int) -> tuple:
     a, b = t.atoms[i], t.atoms[j]
     if sort_key(b) < sort_key(a):
         a, b = b, a
-    rule = _CLOSED_FORMS.get((type(a), type(b)))
-    if rule is not None:
-        row = rule(t.params, a, b)
-    else:
-        # Proj against MSimple or Proj: solve in the Grothendieck ring.  The
-        # product of a projective with anything is projective, and
-        # projectives are determined by their K-class.
-        row = projective_decompose(t.params, k_product(t.params, a, b))
+    row = _CLOSED_FORMS[type(a), type(b)](t.params, a, b)
     intern = t.intern
     return tuple(chain.from_iterable((intern(atom), mult) for atom, mult in row.items()))
 

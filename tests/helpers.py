@@ -247,19 +247,30 @@ def k_product_by_pairs(params, a, b):
     return ModuleExpr.combine(pieces)
 
 
+# The species pairs whose closed form ``fuse_by_term_pairs`` takes from
+# ``fusion._CLOSED_FORMS``; P x M and P x P are not among them.
+_ORACLE_CLOSED_FORMS = (
+    (MSimple, MSimple),
+    (MSimple, FockTypical),
+    (FockTypical, FockTypical),
+    (FockTypical, Proj),
+)
+
+
 def fuse_by_term_pairs(params, x, y):
     """Oracle for ``fusion.fuse``: the canonical nested loop over the sorted
     terms of x and y, each atom normalized as the loop reaches it, and each
     pair's row built afresh, with no id table and no cache: the closed form
-    of the pair in canonical order, or, for P x M and P x P, the peel of the
-    K-ring product summed pair by pair over the simple factors."""
+    of the pair in canonical order for the pairs in ``_ORACLE_CLOSED_FORMS``,
+    and, for P x M and P x P, the peel of the K-ring product summed pair by
+    pair over the simple factors, a derivation that does not use the closed
+    forms of those two pairs."""
     pieces = []
     for a, ma, b, mb in term_pairs(x, y, lambda atom: _fusable(params, atom)):
         if sort_key(b) < sort_key(a):
             a, b = b, a
-        rule = _CLOSED_FORMS.get((type(a), type(b)))
-        if rule is not None:
-            row = rule(params, a, b)
+        if (type(a), type(b)) in _ORACLE_CLOSED_FORMS:
+            row = _CLOSED_FORMS[type(a), type(b)](params, a, b)
         else:
             row = projective_decompose(params, k_product_by_pairs(params, a, b))
         pieces.append((ma * mb, row))

@@ -87,17 +87,6 @@ def test_one_wrong_product_is_one_failure(monkeypatch):
     assert res.failures == ["oracle disagreement at M(1,2), P(0,1)"]
 
 
-@pytest.fixture
-def fresh_rows(monkeypatch):
-    """Empty id tables and product cache for the test; afterwards the cache
-    is emptied again and the old tables are back, so no row made during the
-    test outlives it."""
-    monkeypatch.setattr(fusion, "_TABLES", {})
-    fusion._fuse_atoms.cache_clear()
-    yield
-    fusion._fuse_atoms.cache_clear()
-
-
 def test_one_wrong_row_fails_associativity_at_that_pair(monkeypatch, fresh_rows):
     # M(1,2) x M(1,2) = M(1,1) + M(1,3) at p = 3; drop M(1,3).  The triple
     # loop reads the cached rows without going through ``fuse``.

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from singlet import fusion
 from singlet.checks import universe
 from singlet.errors import (
     DomainError,
@@ -15,6 +16,7 @@ from singlet.fusion import (
     _fuse_atoms,
     chebyshev_fuse,
     fuse,
+    fuse_proj_simple,
     fuse_proj_typical,
     fuse_simple_simple_atypical,
     fuse_simple_typical,
@@ -104,6 +106,36 @@ def test_proj_typical_domain(p2):
         fuse_proj_typical(p2, 1, 2, Fraction(1, 2))  # s = p is simple
     with pytest.raises(NotTypical):
         fuse_proj_typical(p2, 1, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "p, rs, rs2, expected",
+    [
+        (2, (1, 1), (1, 1), [(Proj(1, 1), 1)]),
+        # s2 = p: the doubled B term at l = p is 2 M(1,2), its flanks M(0,2), M(2,2).
+        (2, (1, 1), (1, 2), [(MSimple(1, 2), 2), (MSimple(0, 2), 1), (MSimple(2, 2), 1)]),
+        (3, (1, 1), (1, 2), [(Proj(1, 2), 1), (MSimple(0, 3), 1), (MSimple(2, 3), 1)]),
+        (3, (1, 2), (1, 2), [(Proj(1, 1), 1), (MSimple(1, 3), 2)]),
+        (3, (0, 1), (2, 3), [(MSimple(1, 3), 2), (Proj(0, 2), 1), (Proj(2, 2), 1)]),
+        (4, (1, 3), (1, 3), [(Proj(1, 1), 1), (Proj(1, 3), 2)]),
+        (
+            4,
+            (1, 1),
+            (1, 4),
+            [(MSimple(1, 4), 2), (Proj(0, 2), 1), (Proj(2, 2), 1), (MSimple(0, 4), 1), (MSimple(2, 4), 1)],
+        ),
+    ],
+)
+def test_proj_simple_examples(p, rs, rs2, expected):
+    got = fuse_proj_simple(Params(p), *rs, *rs2)
+    assert got == expr(*expected)
+
+
+def test_proj_simple_domain(p2):
+    with pytest.raises(DomainError):
+        fuse_proj_simple(p2, 1, 2, 1, 1)  # s = p is simple
+    with pytest.raises(DomainError):
+        fuse_proj_simple(p2, 1, 1, 1, 3)
 
 
 @pytest.mark.parametrize(
@@ -318,6 +350,22 @@ def test_a_label_valid_at_one_p_still_raises_at_a_smaller_p():
         fuse(Params(2), MSimple(1, 3), MSimple(1, 1))
     with pytest.raises(DomainError, match=re.escape("M(1,3)")):
         fuse(Params(2), MSimple(1, 1), ModuleExpr.of(MSimple(1, 3)))
+
+
+def test_fuse_never_reaches_the_k_ring(monkeypatch, fresh_rows):
+    # Every row is made afresh while the K-ring product and its inversion
+    # raise: each species pair has its own closed form.
+    def unreachable(*args):
+        raise AssertionError("fuse reached the K-ring")
+
+    monkeypatch.setattr(fusion, "k_product", unreachable)
+    monkeypatch.setattr(fusion, "projective_decompose", unreachable)
+    for p in range(2, 8):
+        params = Params(p)
+        atoms = universe(params)
+        for x in atoms:
+            for y in atoms:
+                fuse(params, x, y)
 
 
 def test_projective_at_s_equal_p_reads_the_simple_row():

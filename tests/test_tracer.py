@@ -29,6 +29,8 @@ CALLS = [
     ["--p", "2", "--m", "2", "orbfuse", "W(1,2)", "R(1,1)"],
     ["--p", "2", "--order", "5", "char", "P(1,1)"],
     ["--p", "2", "check", "--suite", "oracle"],
+    # Only the kring suite reaches k_product and projective_decompose.
+    ["--p", "2", "check", "--suite", "kring"],
 ]
 
 
@@ -40,7 +42,7 @@ def test_tracer_counts_every_layer():
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"] == [0] * len(CALLS)
     calls = result["report"]["calls"]
     for name in (
         "fusion.fuse",
