@@ -103,17 +103,6 @@ class QSeries(Value):
         _setattr(self, "h0", Fraction(h0))
         _setattr(self, "coeffs", tuple(int(c) for c in coeffs))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.h0 == other.h0 and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.h0, self.coeffs))
-
-    def __repr__(self):
-        return f"QSeries(h0={self.h0!r}, coeffs={self.coeffs!r})"
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1

@@ -9,10 +9,12 @@ Species
 * ``GenVerma(r, s)``      generalized Verma quotient (structural species)
 
 Labels are frozen values with ``__slots__``, so that no label carries a
-``__dict__``: product caches hold thousands of them.  Two ``FockTypical``
-labels are equal exactly when their coordinates have the same (numerator,
-denominator) ints, and a ``FockTypical`` equals no label of another species
-and no number; its hash is cached.
+``__dict__``: product caches hold thousands of them.  Their equality, hash
+and repr are the one rule of :class:`~singlet.weights.Value`: equal only
+within a species, on equal fields.  ``PairLabel`` and ``FockTypical`` are
+hashed on every product, so they state that equality and hash without
+building a field tuple; a ``FockTypical`` compares the (numerator,
+denominator) ints of its coordinate and caches its hash.
 
 ``Proj(r, p)`` and ``FockAtypical(r, p)`` are never stored; the label
 conventions collapse both to ``MSimple(r, p)`` in :func:`normalize_atom` only.
@@ -69,8 +71,7 @@ _setattr = object.__setattr__
 
 
 class PairLabel(Value):
-    """A label ``Name(r, s)`` of two ints: equal only to a label of the
-    same class with the same (r, s), hashed as the tuple (r, s)."""
+    """A label ``Name(r, s)`` of two ints."""
 
     __slots__ = _fields = ("r", "s")
 
@@ -78,6 +79,8 @@ class PairLabel(Value):
         _setattr(self, "r", r)
         _setattr(self, "s", s)
 
+    # The rule of Value, without building a tuple: these labels are hashed
+    # on every id-table lookup and every closed-form dict.
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -85,9 +88,6 @@ class PairLabel(Value):
 
     def __hash__(self):
         return hash((self.r, self.s))
-
-    def __repr__(self):
-        return f"{self.__class__.__name__}(r={self.r!r}, s={self.s!r})"
 
 
 class MSimple(PairLabel):
@@ -121,9 +121,6 @@ class FockTypical(Value):
 
     def __hash__(self):
         return self._hash
-
-    def __repr__(self):
-        return f"FockTypical(q={self.q!r})"
 
 
 class Proj(PairLabel):

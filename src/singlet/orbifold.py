@@ -63,8 +63,8 @@ _setattr = object.__setattr__
 class OrbifoldParams(Value):
     """Orbifold parameters: singlet p and cyclic order m >= 1.  ``singlet`` is
     the one :class:`Params` of p, built and checked once; ``images`` maps each
-    singlet label already induced to its orbifold label (successes only);
-    eq/hash/repr use (p, m)."""
+    singlet label already induced to its orbifold label (successes only).
+    Neither is a field: equality, hash and repr read (p, m) only."""
 
     __slots__ = ("p", "m", "singlet", "images")
     _fields = ("p", "m")
@@ -76,17 +76,6 @@ class OrbifoldParams(Value):
         _setattr(self, "images", {})
         if not isinstance(m, int) or m < 1:
             raise DomainError(f"m must be an integer >= 1, got {m!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.p == other.p and self.m == other.m
-
-    def __hash__(self):
-        return hash((self.p, self.m))
-
-    def __repr__(self):
-        return f"OrbifoldParams(p={self.p!r}, m={self.m!r})"
 
     @property
     def r_modulus(self) -> int:
@@ -110,17 +99,6 @@ class VTypical(Value):
 
     def __init__(self, q: Fraction):
         _setattr(self, "q", Fraction(q))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.q == other.q
-
-    def __hash__(self):
-        return hash((self.q,))
-
-    def __repr__(self):
-        return f"VTypical(q={self.q!r})"
 
 
 class RProj(PairLabel):

@@ -37,8 +37,14 @@ class Value:
 
     A subclass lists its fields in ``__slots__`` and sets each once in
     ``__init__`` with ``object.__setattr__``; ``_fields`` names the
-    constructor arguments, which is what pickling and copying rebuild the
-    object from.  Equality, hashing and the repr are written out per class.
+    constructor arguments.  The rule of every value is stated once, here,
+    on the tuple of those fields: two values are equal exactly when they
+    are of the same class with equal tuples, the hash is the hash of the
+    tuple, the repr is ``Name(field=value, ...)``, and pickling and copying
+    rebuild the object from the tuple.  ``Weight`` and ``UnitPhase`` keep
+    shorter reprs, and the two label types hashed on every product,
+    ``PairLabel`` and ``FockTypical``, state the same equality and hash
+    without building a tuple.
     """
 
     __slots__ = ()
@@ -50,8 +56,23 @@ class Value:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__name__}({args})"
+
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+        return self.__class__, self._values()
 
 
 class Params(Value):
@@ -63,17 +84,6 @@ class Params(Value):
         if not isinstance(p, int) or p < 2:
             raise DomainError(f"p must be an integer >= 2, got {p!r}")
         _setattr(self, "p", p)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.p == other.p
-
-    def __hash__(self):
-        return hash((self.p,))
-
-    def __repr__(self):
-        return f"Params(p={self.p!r})"
 
     @property
     def central_charge(self) -> Fraction:
@@ -89,14 +99,6 @@ class Weight(Value):
         _setattr(self, "q", Fraction(q))
         _setattr(self, "p", p)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.q == other.q and self.p == other.p
-
-    def __hash__(self):
-        return hash((self.q, self.p))
-
     def __repr__(self):
         return f"Weight({self.q}, p={self.p})"
 
@@ -111,14 +113,6 @@ class UnitPhase(Value):
 
     def __init__(self, exponent: Fraction):
         _setattr(self, "exponent", Fraction(exponent) % 1)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.exponent == other.exponent
-
-    def __hash__(self):
-        return hash((self.exponent,))
 
     def __mul__(self, other: "UnitPhase") -> "UnitPhase":
         return UnitPhase(self.exponent + other.exponent)
