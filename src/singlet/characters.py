@@ -23,7 +23,7 @@ from operator import add, sub
 
 from .errors import DomainError
 from .modules import FockTypical, ModuleExpr, k_class, lowest_weight
-from .weights import Params, Value, h_rs
+from .weights import Params, Value, exact, h_rs
 
 __all__ = [
     "QSeries",
@@ -100,8 +100,12 @@ class QSeries(Value):
     __slots__ = _fields = ("h0", "coeffs")
 
     def __init__(self, h0: Fraction, coeffs: tuple):
-        _setattr(self, "h0", Fraction(h0))
-        _setattr(self, "coeffs", tuple(int(c) for c in coeffs))
+        coeffs = tuple(coeffs)
+        for c in coeffs:
+            if not isinstance(c, int):
+                raise DomainError(f"series coefficients must be ints, got {c!r}")
+        _setattr(self, "h0", exact(h0))
+        _setattr(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:
@@ -127,7 +131,7 @@ class CharacterSum:
         return list(self._series.values())
 
     def coset(self, key: Fraction):
-        return self._series.get(Fraction(key) % 1)
+        return self._series.get(exact(key) % 1)
 
     def __eq__(self, other):
         return isinstance(other, CharacterSum) and self._series == other._series

@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import DomainError, NonSemisimpleTwist, UnsupportedSpecies
-from .weights import Params, UnitPhase, Value, Weight, conformal_weight, h_rs
+from .weights import Params, UnitPhase, Value, Weight, conformal_weight, exact, h_rs
 
 __all__ = [
     "MSimple",
@@ -104,7 +104,7 @@ class FockTypical(Value):
 
     def __init__(self, q: Fraction):
         if q.__class__ is not Fraction:
-            q = Fraction(q)
+            q = exact(q)
         if q.denominator == 1:
             raise DomainError(f"typical Fock coordinate must be non-integral, got {q}")
         _setattr(self, "q", q)

@@ -37,7 +37,7 @@ from .modules import (
     sort_key,
     term_pairs,
 )
-from .weights import Params, Value
+from .weights import Params, Value, exact
 
 __all__ = [
     "OrbifoldParams",
@@ -98,7 +98,7 @@ class VTypical(Value):
     _RANK = 6
 
     def __init__(self, q: Fraction):
-        _setattr(self, "q", Fraction(q))
+        _setattr(self, "q", exact(q))
 
 
 class RProj(PairLabel):
@@ -122,7 +122,7 @@ def r_proj(op: OrbifoldParams, r: int, s: int):
 
 
 def v_typical(op: OrbifoldParams, q) -> VTypical:
-    q = Fraction(q)
+    q = exact(q)
     if q.denominator == 1:
         raise DomainError(f"V coordinate must be non-integral, got {q}")
     if (op.m * q).denominator != 1:

@@ -32,6 +32,15 @@ __all__ = [
 _setattr = object.__setattr__
 
 
+def exact(x) -> Fraction:
+    """``Fraction(x)`` for an exact number.  A float raises DomainError: it
+    holds a binary approximation (1/3 is 6004799503160661/2**54), not the
+    rational that was meant."""
+    if isinstance(x, float):
+        raise DomainError(f"numbers must be exact (an int or a Fraction), got the float {x!r}")
+    return Fraction(x)
+
+
 class Value:
     """Immutable value object.
 
@@ -96,7 +105,7 @@ class Weight(Value):
     __slots__ = _fields = ("q", "p")
 
     def __init__(self, q: Fraction, p: int):
-        _setattr(self, "q", Fraction(q))
+        _setattr(self, "q", exact(q))
         _setattr(self, "p", p)
 
     def __repr__(self):
@@ -112,7 +121,7 @@ class UnitPhase(Value):
     __slots__ = _fields = ("exponent",)
 
     def __init__(self, exponent: Fraction):
-        _setattr(self, "exponent", Fraction(exponent) % 1)
+        _setattr(self, "exponent", exact(exponent) % 1)
 
     def __mul__(self, other: "UnitPhase") -> "UnitPhase":
         return UnitPhase(self.exponent + other.exponent)
@@ -188,7 +197,7 @@ def h0_squared(params: Params, h) -> Fraction:
     is what distinguishes the self-contragredient column of simple modules.
     """
     p = params.p
-    h = Fraction(h)
+    h = exact(h)
     c_p = Fraction((4 * p) ** (2 * p - 1), factorial(2 * p - 1) ** 2)
     value = c_p * (h - h_rs(params, 1, p))
     for s in range(1, p):

@@ -3,16 +3,20 @@ a class only, the hash of the field tuple, the exact repr, immutability, and
 pickle and deepcopy round trips."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import singlet
 from singlet.characters import QSeries
 from singlet.checks import SuiteResult
 from singlet.modules import FockAtypical, FockTypical, GenVerma, MSimple, Proj
 from singlet.orbifold import OrbifoldParams, RProj, VTypical, WSimple
-from singlet.weights import Params, UnitPhase, Weight
+from singlet.modules import PairLabel
+from singlet.weights import Params, UnitPhase, Value, Weight
 
 PAIR_LABELS = (MSimple, Proj, FockAtypical, GenVerma, WSimple, RProj)
 
@@ -86,3 +90,32 @@ def test_suite_results_own_their_failures():
         hash(a)
     for clone in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
         assert clone == a and clone.failures is not a.failures
+
+
+def _value_classes():
+    """Every subclass of Value defined in the package, after importing each
+    of its modules."""
+    for info in pkgutil.iter_modules(singlet.__path__, "singlet."):
+        importlib.import_module(info.name)
+    found, todo = [], [Value]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("singlet."):
+                found.append(sub)
+                todo.append(sub)
+    return found
+
+
+def test_every_value_class_has_a_semantics_case():
+    # A class with subclasses of its own (PairLabel) is a base, not a value.
+    concrete = {cls for cls in _value_classes() if not cls.__subclasses__()}
+    assert concrete == {type(value) for value, _, _ in VALUES}
+
+
+def test_value_rule_is_stated_once():
+    """Only the labels hashed on every product restate equality and hash,
+    and only Weight and UnitPhase have a repr of their own."""
+    defining = lambda name: {cls for cls in _value_classes() if name in vars(cls)}
+    assert defining("__eq__") == defining("__hash__") == {PairLabel, FockTypical}
+    assert defining("__repr__") == {Weight, UnitPhase}
+    assert not defining("__reduce__")

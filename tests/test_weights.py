@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from singlet.characters import CharacterSum, QSeries
 from singlet.errors import DomainError
+from singlet.fusion import fuse_proj_typical, fuse_simple_typical, fuse_typical_typical
+from singlet.modules import FockTypical
+from singlet.orbifold import OrbifoldParams, VTypical, v_typical
 from singlet.weights import (
     Params,
     UnitPhase,
@@ -165,3 +169,40 @@ def test_unit_phase_group_laws(e1, e2):
     assert (a * b) == (b * a)
     assert (a * a.inverse()).exponent == 0
     assert 0 <= a.exponent < 1
+
+
+# Every place a caller's number becomes a Fraction, each given a float.
+FLOAT_CALLS = {
+    "FockTypical": lambda: FockTypical(1 / 3),
+    "VTypical": lambda: VTypical(0.5),
+    "Weight": lambda: Weight(0.5, 3),
+    "UnitPhase": lambda: UnitPhase(0.25),
+    "QSeries.h0": lambda: QSeries(0.5, (1,)),
+    "CharacterSum.coset": lambda: CharacterSum({}).coset(0.5),
+    "fuse_simple_typical": lambda: fuse_simple_typical(Params(3), 1, 2, 1 / 3),
+    "fuse_proj_typical": lambda: fuse_proj_typical(Params(3), 1, 1, 0.5),
+    "fuse_typical_typical": lambda: fuse_typical_typical(Params(3), Fraction(1, 2), 0.5),
+    "v_typical": lambda: v_typical(OrbifoldParams(2, 2), 0.5),
+    "h0_squared": lambda: h0_squared(Params(2), 0.5),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_CALLS.values(), ids=FLOAT_CALLS)
+def test_floats_are_refused(call):
+    # A float is a binary approximation: FockTypical(1/3) would otherwise be
+    # F(6004799503160661/18014398509481984).
+    with pytest.raises(DomainError, match="float"):
+        call()
+
+
+def test_exact_numbers_are_accepted():
+    assert FockTypical(Fraction(1, 3)).q == FockTypical("1/3").q == Fraction(1, 3)
+    assert Weight(1, 3).q == Fraction(1) and UnitPhase(-1).exponent == 0
+    assert h0_squared(Params(2), 0) == h0_squared(Params(2), Fraction(0))
+
+
+@pytest.mark.parametrize("coeffs", [(1, 2.7), (1, 2.0), (Fraction(1, 2),), (Fraction(2),)])
+def test_series_coefficients_must_be_ints(coeffs):
+    with pytest.raises(DomainError, match="must be ints"):
+        QSeries(0, coeffs)
+    assert QSeries(0, [1, 2]).coeffs == (1, 2)
