@@ -295,10 +295,11 @@ _TABLES: dict = {}
 
 
 def id_table(params: Params) -> _Table:
-    """The id table of ``params``, made on first use."""
-    t = _TABLES.get(params)
+    """The id table of ``params``, made on first use.  Tables are keyed by
+    the int p, which hashes faster than a Params: every fuse call looks one up."""
+    t = _TABLES.get(params.p)
     if t is None:
-        t = _TABLES[params] = _Table(params)
+        t = _TABLES[params.p] = _Table(params)
     return t
 
 

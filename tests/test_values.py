@@ -13,9 +13,8 @@ import pytest
 import singlet
 from singlet.characters import QSeries
 from singlet.checks import SuiteResult
-from singlet.modules import FockAtypical, FockTypical, GenVerma, MSimple, Proj
+from singlet.modules import FockAtypical, FockTypical, GenVerma, MSimple, PairLabel, Proj
 from singlet.orbifold import OrbifoldParams, RProj, VTypical, WSimple
-from singlet.modules import PairLabel
 from singlet.weights import Params, UnitPhase, Value, Weight
 
 PAIR_LABELS = (MSimple, Proj, FockAtypical, GenVerma, WSimple, RProj)
