@@ -9,9 +9,9 @@ Inverting the injective projective-to-K-class map by a top-down peel
 (:func:`projective_decompose`) derives every product with a projective
 operand a second way, and the ``kring`` suite compares the two.
 
-:func:`fuse` works on int ids.  Each :class:`Params` has one table of
-interned labels (``_Table``); a product row is cached once per unordered
-pair of ids as a flat tuple of ids and multiplicities.  ``_Table.product``
+:func:`fuse` works on int ids.  Each p has one table of interned labels
+(``_Table``); a product row is cached once per unordered pair of ids as a
+flat tuple of ids and multiplicities.  ``_Table.product``
 is the one loop that adds rows: it sums the rows of every pair of terms
 into one ``{id: mult}`` dict.  :func:`fuse` maps its operands to ids,
 calls it and reads the ids back as labels; the ``associativity`` suite
@@ -43,10 +43,12 @@ from .modules import (
     ModuleExpr,
     MSimple,
     Proj,
+    _check_s,
     as_expr,
     k_class,
     label,
     normalize_atom,
+    shift,
     sort_key,
     term_pairs,
 )
@@ -70,12 +72,6 @@ def _typical_coord(q) -> Fraction:
     if q.denominator == 1:
         raise NotTypical(f"coordinate {q} is integral, not typical")
     return q
-
-
-def _check_s(p: int, s: int, what: str, top: int | None = None):
-    top = p if top is None else top
-    if not 1 <= s <= top:
-        raise DomainError(f"{what} needs 1 <= s <= {top}, got s={s}")
 
 
 def _ranges(p: int, s: int, s2: int) -> tuple:
@@ -356,15 +352,8 @@ def _sub(a: ModuleExpr, b: ModuleExpr) -> ModuleExpr:
 
 
 def _shift(params: Params, expr: ModuleExpr, k: int) -> ModuleExpr:
-    """Apply the k-th power of the simple-current shift r -> r + 1."""
-    p = params.p
-
-    def move(atom):
-        if isinstance(atom, FockTypical):
-            return FockTypical(atom.q + k * p)
-        return type(atom)(atom.r + k, atom.s)
-
-    return expr.map_atoms(move)
+    """J^k x expr, term by term (:func:`~singlet.modules.shift`)."""
+    return expr.map_atoms(lambda atom: shift(params, atom, k))
 
 
 def _m12_atom(params: Params, atom) -> ModuleExpr:

@@ -53,6 +53,7 @@ __all__ = [
     "label",
     "sort_key",
     "normalize_atom",
+    "shift",
     "defining_coord",
     "dual",
     "dual_atom",
@@ -158,6 +159,12 @@ def sort_key(atom):
     if q is not None:
         return (atom._RANK, q, 0)
     return (atom._RANK, atom.r, atom.s)
+
+
+def _check_s(p: int, s: int, what: str, top: int | None = None):
+    top = p if top is None else top
+    if not 1 <= s <= top:
+        raise DomainError(f"{what} needs 1 <= s <= {top}, got s={s}")
 
 
 def normalize_atom(params: Params, atom):
@@ -329,6 +336,14 @@ def term_pairs(x, y, normalize):
             yield a, ma, b, mb
 
 
+def shift(params: Params, atom, k: int):
+    """The label J^k x atom, for the simple current J = M(2,1): r -> r + k
+    on an (r, s) label, q -> q + kp on a coordinate label."""
+    if isinstance(atom, FockTypical):
+        return FockTypical(atom.q + k * params.p)
+    return type(atom)(atom.r + k, atom.s)
+
+
 def defining_coord(params: Params, atom) -> Fraction:
     """Coordinate q of the weight labelling the atom: alpha_{r,s} for the
     integrally-labelled species, the Fock weight itself for typical."""
@@ -384,8 +399,7 @@ def _layers(p: int, atom) -> tuple:
 
 def verma_quotient_factors(params: Params, r: int, s: int) -> ModuleExpr:
     """Composition factors of the generalized Verma quotient G(r, s)."""
-    if not 1 <= s <= params.p:
-        raise DomainError(f"verma quotient needs 1 <= s <= {params.p}, got s={s}")
+    _check_s(params.p, s, "verma quotient")
     return k_class(params, GenVerma(r, s))
 
 
@@ -448,6 +462,5 @@ def virasoro_induce(params: Params, r: int, s: int) -> ModuleExpr:
     the direct sum of MSimple(2k - r, s) for k = 1..r."""
     if r < 1:
         raise DomainError(f"induction needs r >= 1, got r={r}")
-    if not 1 <= s <= params.p:
-        raise DomainError(f"induction needs 1 <= s <= {params.p}, got s={s}")
+    _check_s(params.p, s, "induction")
     return ModuleExpr.of(*(MSimple(2 * k - r, s) for k in range(1, r + 1)))

@@ -17,7 +17,6 @@ depend on the chosen lifts.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .characters import CharacterSum, ch_expr
@@ -29,11 +28,13 @@ from .modules import (
     MSimple,
     PairLabel,
     Proj,
+    _check_s,
     as_expr,
     defining_coord,
-    k_class,
     label,
+    lowest_weight,
     normalize_atom,
+    shift,
     sort_key,
     term_pairs,
 )
@@ -108,14 +109,12 @@ class RProj(PairLabel):
 
 
 def w_simple(op: OrbifoldParams, r: int, s: int) -> WSimple:
-    if not 1 <= s <= op.p:
-        raise DomainError(f"W label needs 1 <= s <= {op.p}, got s={s}")
+    _check_s(op.p, s, "W label")
     return WSimple(r % op.r_modulus, s)
 
 
 def r_proj(op: OrbifoldParams, r: int, s: int):
-    if not 1 <= s <= op.p:
-        raise DomainError(f"R label needs 1 <= s <= {op.p}, got s={s}")
+    _check_s(op.p, s, "R label")
     if s == op.p:
         return WSimple(r % op.r_modulus, s)
     return RProj(r % op.r_modulus, s)
@@ -236,39 +235,28 @@ def _orbit_lifts(op: OrbifoldParams, atom, depth: int) -> ModuleExpr:
     """All singlet lifts of ``atom`` whose lowest weight lies within
     ``depth`` of the orbit minimum.
 
-    The lift n orbit steps from the canonical one shifts each composition
-    factor by n steps.  A factor's lowest weight is (v^2 - (p-1)^2) / 4p with
-    v = a + b|c + d*n|: v = |q + p - 1| for F(q), and v = p - s + p|r - 1|
-    for M(r, s).  So a lift is kept iff one of its factors has
-    v^2 <= v0^2 + 4p*depth, where v0 is the least v over the orbit; for each
-    factor that is a window of n, read off exactly with ``math.isqrt``.
+    Lift n is J^(2mn) x the canonical lift: each composition factor moves n
+    orbit steps.  A factor's lowest weight is (v^2 - (p-1)^2) / 4p, with
+    v = p|r-1| + p - s for M(r, s) and v = |q + p - 1| for F(q).  Along the
+    orbit v is a constant >= 0 plus a multiple of |a line in n|, so the
+    weight is convex in n; and as the canonical lift has 0 <= r < 2m or
+    0 <= q < 2pm, it is least at n = -1, 0 or 1.  So the orbit minimum is
+    read at those three lifts, and left of -1 and right of 1 the weight of
+    every factor, hence of the lift (their least), does not decrease as |n|
+    grows: each walk outward stops exactly at the first lift past ``depth``.
     """
-    p = op.p
+    singlet, step = op.singlet, op.r_modulus
     lift = lift_atom(op, atom)
-    lines = []
-    for factor in k_class(op.singlet, lift).atoms():
-        if isinstance(factor, FockTypical):
-            lines.append((0, 1, factor.q + p - 1, op.q_modulus))
-        else:
-            lines.append((p - factor.s, p, Fraction(factor.r - 1), op.r_modulus))
-    v0 = min(a + b * min(c % d, -c % d) for a, b, c, d in lines)
-    steps = set()
-    for a, b, c, d in lines:
-        # den*(a + b|c + d*n|) is an integer, so it is at most the square
-        # root of den^2 * (v0^2 + 4p*depth) iff it is at most its isqrt.
-        den, num = c.denominator, c.numerator
-        bound = math.floor(den * den * (v0 * v0 + 4 * p * depth))
-        if bound < 0:
-            continue
-        k = (math.isqrt(bound) - den * a) // b  # den*|c + d*n| <= k
-        steps.update(range(-((k + num) // (den * d)), (k - num) // (den * d) + 1))
-
-    def member(n):
-        if isinstance(lift, FockTypical):
-            return FockTypical(lift.q + op.q_modulus * n)
-        return type(lift)(lift.r + op.r_modulus * n, lift.s)
-
-    return ModuleExpr.of(*(member(n) for n in steps))
+    near = [shift(singlet, lift, n * step) for n in (-1, 0, 1)]
+    weights = [lowest_weight(singlet, x) for x in near]
+    top = min(weights) + depth
+    kept = [x for x, w in zip(near, weights) if w <= top]
+    for k in (-step, step):
+        x = shift(singlet, lift, 2 * k)
+        while lowest_weight(singlet, x) <= top:
+            kept.append(x)
+            x = shift(singlet, x, k)
+    return ModuleExpr.of(*kept)
 
 
 def orbifold_char_expr(op: OrbifoldParams, x, n: int) -> CharacterSum:

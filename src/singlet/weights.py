@@ -100,13 +100,14 @@ class Params(Value):
 
 
 class Weight(Value):
-    """Coordinate ``q`` of the weight q*(alpha_minus/2), with its ``p``."""
+    """Coordinate ``q`` of the weight q*(alpha_minus/2), with its ``p``;
+    ``p`` is checked by :class:`Params`."""
 
     __slots__ = _fields = ("q", "p")
 
     def __init__(self, q: Fraction, p: int):
         _setattr(self, "q", exact(q))
-        _setattr(self, "p", p)
+        _setattr(self, "p", Params(p).p)
 
     def __repr__(self):
         return f"Weight({self.q}, p={self.p})"

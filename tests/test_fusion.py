@@ -32,6 +32,7 @@ from singlet.modules import (
     MSimple,
     Proj,
     k_class,
+    shift,
 )
 from singlet.weights import Params
 
@@ -386,6 +387,17 @@ def test_fuse_bilinear(p2):
     direct = fuse(p2, x, y)
     parts = 2 * fuse(p2, MSimple(1, 2), MSimple(1, 2)) + fuse(p2, F("1/2"), MSimple(1, 2))
     assert direct == parts
+
+
+def test_shift_is_the_simple_current():
+    # shift is the one statement of J = M(2,1); the closed forms of the
+    # products with M(k+1,1) = J^k do not use it.
+    for p in range(2, 7):
+        params = Params(p)
+        for x in universe(params):
+            for k in range(-3, 4):
+                want = ModuleExpr.of(shift(params, x, k))
+                assert fuse(params, MSimple(k + 1, 1), x) == want, (p, x, k)
 
 
 @pytest.mark.parametrize(

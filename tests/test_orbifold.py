@@ -14,8 +14,10 @@ from singlet.modules import (
     ModuleExpr,
     MSimple,
     Proj,
+    k_class,
     loewy_layers,
     lowest_weight,
+    shift,
 )
 from singlet.orbifold import (
     OrbifoldParams,
@@ -267,6 +269,32 @@ def test_orbit_lifts_match_brute_force_scan():
         best = min(weights)
         brute = ModuleExpr.of(*(lift for lift, w in zip(lifts, weights) if w <= best + depth))
         assert _orbit_lifts(op, atom, depth) == brute, (op, atom, depth)
+
+
+def test_orbit_minimum_lies_next_to_the_canonical_lift():
+    # The premise of the walk in _orbit_lifts: every composition factor of
+    # the canonical lift has its least weight over the orbit at n = -1, 0 or
+    # 1.  The labels are built from representatives three orbit steps away,
+    # so this fails if w_simple, r_proj or v_typical stop reducing them.
+    factors = 0
+    for p in range(2, 9):
+        for m in range(1, 6):
+            op = OrbifoldParams(p, m)
+            far_r, far_q = 3 * op.r_modulus, 3 * op.q_modulus
+            pairs = [(r, s) for r in range(op.r_modulus) for s in range(1, p + 1)]
+            coords = [atom.q for atom in list_simples(op) if isinstance(atom, VTypical)]
+            labels = [w_simple(op, r + far_r, s) for r, s in pairs]
+            labels += [r_proj(op, r - far_r, s) for r, s in pairs if s < p]
+            labels += [v_typical(op, q - far_q) for q in coords]
+            for atom in labels:
+                for factor in k_class(op.singlet, lift_atom(op, atom)).atoms():
+                    weights = [
+                        lowest_weight(op.singlet, shift(op.singlet, factor, n * op.r_modulus))
+                        for n in range(-50, 51)
+                    ]
+                    assert min(weights[49:52]) == min(weights), (op, atom, factor)
+                    factors += 1
+    assert factors == 6370
 
 
 def test_orbifold_char_of_cover(op21):

@@ -23,6 +23,7 @@ from singlet.modules import (
     verma_quotient_factors,
     virasoro_induce,
 )
+from singlet.orbifold import OrbifoldParams, r_proj, w_simple
 from singlet.weights import Params
 
 F12 = FockTypical(Fraction(1, 2))
@@ -266,3 +267,19 @@ def test_virasoro_induce_domain(p2):
         virasoro_induce(p2, 0, 1)
     with pytest.raises(DomainError):
         virasoro_induce(p2, 1, 3)
+
+
+# Every s-range check reports "{what} needs 1 <= s <= {top}, got s={s}".
+S_RANGE_CALLS = [
+    (lambda: verma_quotient_factors(Params(3), 1, 4), "verma quotient needs 1 <= s <= 3, got s=4"),
+    (lambda: virasoro_induce(Params(3), 2, 0), "induction needs 1 <= s <= 3, got s=0"),
+    (lambda: w_simple(OrbifoldParams(3, 2), 1, 4), "W label needs 1 <= s <= 3, got s=4"),
+    (lambda: r_proj(OrbifoldParams(3, 2), 1, 0), "R label needs 1 <= s <= 3, got s=0"),
+]
+
+
+@pytest.mark.parametrize("call, message", S_RANGE_CALLS, ids=[m[:7] for _, m in S_RANGE_CALLS])
+def test_s_range_messages(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message

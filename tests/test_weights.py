@@ -33,6 +33,14 @@ def test_params_validation():
     assert Params(3).central_charge == Fraction(-7)
 
 
+@pytest.mark.parametrize("p", [0, 1, 2.5])
+def test_weight_validates_p(p):
+    # Unchecked, p = 0 divided by zero in conformal_weight and p = 2.5 was
+    # stored as given.
+    with pytest.raises(DomainError, match=rf"^p must be an integer >= 2, got {p!r}$"):
+        Weight(Fraction(1, 2), p)
+
+
 @pytest.mark.parametrize(
     "p, r, s, q",
     [(2, 1, 1, 0), (2, 3, 1, 4), (3, 0, 2, -4), (2, 2, 1, 2), (3, 1, 2, -1)],
