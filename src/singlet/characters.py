@@ -39,6 +39,7 @@ __all__ = [
 _partitions = [1]
 _partitions_lock = allocate_lock()
 _PARTITION_BLOCK = 64
+_TERM_BLOCK = 1024
 
 
 def _pentagonal(limit: int):
@@ -156,14 +157,18 @@ def _times_partitions(numerator: dict, n: int) -> list:
     """Coefficients 0..n of sum_o c_o q^o / prod_k (1 - q^k).
 
     ``numerator`` maps offsets o >= 0 to integers c_o.  Each term with
-    o <= n adds c_o times the partition series, shifted by o, in one slice;
-    offsets beyond n and zero coefficients add nothing.
+    o <= n adds c_o times the partition series, shifted by o, one slice of
+    ``_TERM_BLOCK`` coefficients at a time, so the new big ints of a slice
+    and the old ones they replace coexist for one block only; offsets
+    beyond n and zero coefficients add nothing.
     """
     part = partition_numbers(n)
     acc = [0] * (n + 1)
     for o, c in numerator.items():
         if o <= n and c:
-            acc[o:] = map(add, acc[o:], map(c.__mul__, part))
+            for lo in range(o, n + 1, _TERM_BLOCK):
+                hi = lo + _TERM_BLOCK
+                acc[lo:hi] = map(add, acc[lo:hi], map(c.__mul__, part[lo - o : hi - o]))
     return acc
 
 
