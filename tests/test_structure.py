@@ -270,15 +270,21 @@ def test_virasoro_induce_domain(p2):
 
 
 # Every s-range check reports "{what} needs 1 <= s <= {top}, got s={s}".
-S_RANGE_CALLS = [
-    (lambda: verma_quotient_factors(Params(3), 1, 4), "verma quotient needs 1 <= s <= 3, got s=4"),
-    (lambda: virasoro_induce(Params(3), 2, 0), "induction needs 1 <= s <= 3, got s=0"),
-    (lambda: w_simple(OrbifoldParams(3, 2), 1, 4), "W label needs 1 <= s <= 3, got s=4"),
-    (lambda: r_proj(OrbifoldParams(3, 2), 1, 0), "R label needs 1 <= s <= 3, got s=0"),
-]
+S_RANGE_CALLS = {
+    "verma_quotient_factors": (
+        lambda: verma_quotient_factors(Params(3), 1, 4),
+        "verma quotient needs 1 <= s <= 3, got s=4",
+    ),
+    "virasoro_induce": (
+        lambda: virasoro_induce(Params(3), 2, 0),
+        "induction needs 1 <= s <= 3, got s=0",
+    ),
+    "w_simple": (lambda: w_simple(OrbifoldParams(3, 2), 1, 4), "W label needs 1 <= s <= 3, got s=4"),
+    "r_proj": (lambda: r_proj(OrbifoldParams(3, 2), 1, 0), "R label needs 1 <= s <= 3, got s=0"),
+}
 
 
-@pytest.mark.parametrize("call, message", S_RANGE_CALLS, ids=[m[:7] for _, m in S_RANGE_CALLS])
+@pytest.mark.parametrize("call, message", S_RANGE_CALLS.values(), ids=S_RANGE_CALLS)
 def test_s_range_messages(call, message):
     with pytest.raises(DomainError) as exc:
         call()

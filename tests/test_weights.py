@@ -35,8 +35,8 @@ def test_params_validation():
 
 @pytest.mark.parametrize("p", [0, 1, 2.5])
 def test_weight_validates_p(p):
-    # Unchecked, p = 0 divided by zero in conformal_weight and p = 2.5 was
-    # stored as given.
+    # Params states the rule and its message; an unchecked p = 0 would
+    # divide by zero in conformal_weight.
     with pytest.raises(DomainError, match=rf"^p must be an integer >= 2, got {p!r}$"):
         Weight(Fraction(1, 2), p)
 
