@@ -21,7 +21,11 @@ calls it on the cached rows themselves and compares the dicts.
 it reduces every product to the degenerate-field recursion
 ``X x M(1,s+1) = (X x M(1,s)) x M(1,2) - X x M(1,s-1)`` together with
 simple-current index shifts, starting from hand-written ``M(1,2) x -``
-base products only.
+base products only.  Its ladders run on int ids of their own: each call
+makes one ``_Ladder``, whose rungs are ``{id: mult}`` dicts and which
+makes each label's ``M(1,2)`` row once, on first use.  Nothing is kept
+after the call, and the oracle never reads the id tables or cached rows
+of :func:`fuse`.
 """
 
 from __future__ import annotations
@@ -344,18 +348,6 @@ def fuse(params: Params, x, y) -> ModuleExpr:
 # --- independent recursion oracle ---------------------------------------
 
 
-def _sub(a: ModuleExpr, b: ModuleExpr) -> ModuleExpr:
-    try:
-        return a.subtract(b)
-    except ValueError as exc:
-        raise OracleSubtractionFailure(str(exc)) from None
-
-
-def _shift(params: Params, expr: ModuleExpr, k: int) -> ModuleExpr:
-    """J^k x expr, term by term (:func:`~singlet.modules.shift`)."""
-    return expr.map_atoms(lambda atom: shift(params, atom, k))
-
-
 def _m12_atom(params: Params, atom) -> ModuleExpr:
     """Hand-written base products M(1,2) x atom."""
     p = params.p
@@ -381,56 +373,111 @@ def _proj_edge(p: int, r: int, k: int) -> tuple:
     return (Proj(r, k),)
 
 
-def _m12_times(params: Params, expr: ModuleExpr) -> ModuleExpr:
-    return ModuleExpr.combine((mult, _m12_atom(params, atom)) for atom, mult in expr.terms())
+class _Ladder:
+    """The recursion ladders of one :func:`chebyshev_fuse` call, on int ids.
 
+    ``index`` and ``atoms`` intern the labels the ladders meet, and
+    ``rows[i]`` is the ``M(1,2) x -`` row of id ``i`` as ``(id, mult)``
+    pairs, made from :func:`_m12_atom` on first use and reused by every
+    later rung.  A rung is an ``{id: mult}`` dict.  The object belongs to
+    one call, so nothing it holds outlives the call, and it shares nothing
+    with the id tables of :func:`fuse`.
+    """
 
-def _t_ladder(params: Params, atom, s_target: int) -> ModuleExpr:
-    """X x M(1, s_target) via the degenerate-field recursion."""
-    t_prev = ModuleExpr.of(atom)
-    if s_target == 1:
-        return t_prev
-    t_cur = _m12_times(params, t_prev)
-    for _ in range(s_target - 2):
-        t_prev, t_cur = t_cur, _sub(_m12_times(params, t_cur), t_prev)
-    return t_cur
+    __slots__ = ("params", "index", "atoms", "rows")
 
+    def __init__(self, params: Params):
+        self.params = params
+        self.index: dict = {}
+        self.atoms: list = []
+        self.rows: list = []
 
-def _u_ladder(params: Params, atom, s_target: int) -> ModuleExpr:
-    """X x P(1, s_target) for 1 <= s_target <= p-1, descending from s = p."""
-    p = params.p
-    u_top = _t_ladder(params, atom, p)  # X x M(1,p)
-    u_cur = _m12_times(params, u_top)  # X x P(1,p-1)
-    u_above = None
-    k = p - 1
-    while k > s_target:
-        if k == p - 1:
-            u_next = _sub(_m12_times(params, u_cur), 2 * u_top)
+    def intern(self, atom) -> int:
+        i = self.index.get(atom)
+        if i is None:
+            i = self.index[atom] = len(self.atoms)
+            self.atoms.append(atom)
+            self.rows.append(None)
+        return i
+
+    def m12(self, rung: dict) -> dict:
+        """M(1,2) x rung."""
+        acc: dict = {}
+        get = acc.get
+        rows = self.rows
+        for i, mult in rung.items():
+            row = rows[i]
+            if row is None:
+                base = _m12_atom(self.params, self.atoms[i])
+                # A list: tuple() of a generator allocates a larger tuple and
+                # shrinks it, so each freed row went to the free list of a
+                # smaller size than it was drawn from.  Those lists grew call
+                # by call and raised the peak RSS of `check` at p = 3 by
+                # about 0.1 MB.
+                row = rows[i] = [(self.intern(atom), n) for atom, n in base.items()]
+            for k, n in row:
+                acc[k] = get(k, 0) + mult * n
+        return acc
+
+    def sub(self, acc: dict, rung: dict, n: int = 1) -> dict:
+        """acc - n * rung, in place; a count that would go negative raises
+        OracleSubtractionFailure."""
+        for k, mult in rung.items():
+            left = acc.get(k, 0) - n * mult
+            if left < 0:
+                raise OracleSubtractionFailure(
+                    f"multiset subtraction went negative at {label(self.atoms[k])}"
+                )
+            if left:
+                acc[k] = left
+            else:
+                del acc[k]
+        return acc
+
+    def t_ladder(self, atom, s: int) -> dict:
+        """atom x M(1,s), by the degenerate-field recursion."""
+        prev = {self.intern(atom): 1}
+        if s == 1:
+            return prev
+        cur = self.m12(prev)
+        for _ in range(s - 2):
+            prev, cur = cur, self.sub(self.m12(cur), prev)
+        return cur
+
+    def u_ladder(self, atom, s: int) -> dict:
+        """atom x P(1,s) for 1 <= s <= p-1, descending from atom x M(1,p):
+        the first step down subtracts 2 atom x M(1,p), every later one the
+        rung above."""
+        above = self.t_ladder(atom, self.params.p)
+        cur, n = self.m12(above), 2  # atom x P(1,p-1)
+        for _ in range(self.params.p - 1 - s):
+            above, cur, n = cur, self.sub(self.m12(cur), above, n), 1
+        return cur
+
+    def pair(self, a, b) -> ModuleExpr:
+        """a x b for two normalized fusable labels."""
+        if isinstance(b, MSimple):
+            rung, k = self.t_ladder(a, b.s), b.r - 1
+        elif isinstance(a, MSimple):
+            rung, k = self.t_ladder(b, a.s), a.r - 1
+        elif isinstance(b, Proj):
+            rung, k = self.u_ladder(a, b.s), b.r - 1
+        elif isinstance(a, Proj):
+            rung, k = self.u_ladder(b, a.s), a.r - 1
         else:
-            u_next = _sub(_m12_times(params, u_cur), u_above)
-        u_above, u_cur = u_cur, u_next
-        k -= 1
-    return u_cur
-
-
-def _cheb_pair(params: Params, a, b) -> ModuleExpr:
-    if isinstance(b, MSimple):
-        return _shift(params, _t_ladder(params, a, b.s), b.r - 1)
-    if isinstance(a, MSimple):
-        return _shift(params, _t_ladder(params, b, a.s), a.r - 1)
-    if isinstance(b, Proj):
-        return _shift(params, _u_ladder(params, a, b.s), b.r - 1)
-    if isinstance(a, Proj):
-        return _shift(params, _u_ladder(params, b, a.s), a.r - 1)
-    # Purely typical pairs admit no degenerate-field recursion; fall back to
-    # the direct rule (independently cross-checked by the triple-product and
-    # pairing identities in the check suites).
-    return fuse_typical_typical(params, a.q, b.q)
+            # Purely typical pairs admit no degenerate-field recursion; fall
+            # back to the direct rule (independently cross-checked by the
+            # triple-product and pairing identities in the check suites).
+            return fuse_typical_typical(self.params, a.q, b.q)
+        # The ladders ran at r = 1; J^k moves the result to the operand's r.
+        atoms, params = self.atoms, self.params
+        return ModuleExpr._trusted({shift(params, atoms[i], k): mult for i, mult in rung.items()})
 
 
 def chebyshev_fuse(params: Params, x, y) -> ModuleExpr:
     """Recursion-oracle tensor product; must agree with :func:`fuse`."""
+    ladder = _Ladder(params)
     return ModuleExpr.combine(
-        (ma * mb, _cheb_pair(params, a, b))
+        (ma * mb, ladder.pair(a, b))
         for a, ma, b, mb in term_pairs(x, y, lambda atom: _fusable(params, atom))
     )

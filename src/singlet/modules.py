@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import DomainError, NonSemisimpleTwist, UnsupportedSpecies
-from .weights import Params, UnitPhase, Value, Weight, conformal_weight, exact, h_rs
+from .weights import Params, UnitPhase, Value, exact, h_rs
 
 __all__ = [
     "MSimple",
@@ -427,7 +427,10 @@ def lowest_weight(params: Params, atom) -> Fraction:
     if isinstance(atom, MSimple):
         return h_rs(params, max(atom.r, 2 - atom.r), atom.s)
     if isinstance(atom, FockTypical):
-        return conformal_weight(Weight(atom.q, params.p))
+        # conformal_weight's (q^2 + 2q(p-1))/4p on q = n/d, as one Fraction.
+        n, d = atom._key
+        p = params.p
+        return Fraction(n * (n + 2 * d * (p - 1)), 4 * p * d * d)
     return min(lowest_weight(params, a) for a in k_class(params, atom).atoms())
 
 

@@ -10,6 +10,7 @@ from singlet.errors import (
     DomainError,
     NotProjectiveClass,
     NotTypical,
+    OracleSubtractionFailure,
     UnsupportedSpecies,
 )
 from singlet.fusion import (
@@ -434,3 +435,46 @@ def test_oracle_and_kring_at_p5(p5):
             assert k_class(p5, product) == k_product(
                 p5, k_class(p5, x), k_class(p5, y)
             )
+
+
+def test_oracle_keeps_no_state_and_reads_no_closed_form_row():
+    # p = 19 is used by no other test: an oracle that interned into the id
+    # tables of fuse or read its cached rows would add a table or a row.
+    params = Params(19)
+    tables = {p: len(t.atoms) for p, t in fusion._TABLES.items()}
+    cache = _fuse_atoms.cache_info()
+    atoms = [MSimple(2, 3), MSimple(-1, 19), Proj(0, 1), Proj(3, 18), F("1/2"), F("-7/3")]
+    for x in atoms:
+        for y in atoms:
+            chebyshev_fuse(params, x, y)
+    chebyshev_fuse(params, ModuleExpr.of(*atoms), ModuleExpr.of(*atoms[::2]))
+    assert {p: len(t.atoms) for p, t in fusion._TABLES.items()} == tables
+    assert _fuse_atoms.cache_info() == cache
+
+
+def test_oracle_reports_a_negative_subtraction(monkeypatch):
+    # A wrong base product M(1,2) x M(r,s) = M(r,s+1), 1 < s < p, leaves
+    # the ladder of M(1,3) x M(1,4) short of the M(1,3) it subtracts.
+    m12_atom = fusion._m12_atom
+
+    def wrong(params, atom):
+        if isinstance(atom, MSimple) and 1 < atom.s < params.p:
+            return ModuleExpr.of(MSimple(atom.r, atom.s + 1))
+        return m12_atom(params, atom)
+
+    monkeypatch.setattr(fusion, "_m12_atom", wrong)
+    with pytest.raises(OracleSubtractionFailure) as info:
+        chebyshev_fuse(Params(5), MSimple(1, 3), MSimple(0, 4))
+    assert str(info.value) == "multiset subtraction went negative at M(1,3)"
+
+
+@pytest.mark.parametrize("p", [25, 40])
+def test_oracle_deep_rungs(p):
+    # Every rung of both ladders, from s = p down to s = 1, well past the
+    # p <= 5 of the other oracle tests.
+    params = Params(p)
+    pairs = [(Proj(a, 1), Proj(b, 1)) for a, b in ((0, 1), (2, -1), (1, 1))]
+    pairs += [(MSimple(r, p), Proj(r2, s)) for r, r2, s in ((1, 0, 1), (-1, 2, p // 2), (2, 1, p - 1))]
+    pairs += [(Proj(r, s), F(q)) for r, s, q in ((0, 1, "1/2"), (2, p // 3, "-7/3"), (1, p - 1, "5/6"))]
+    for x, y in pairs:
+        assert chebyshev_fuse(params, x, y) == fuse(params, x, y), (x, y)

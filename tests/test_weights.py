@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from singlet.characters import CharacterSum, QSeries
 from singlet.errors import DomainError
 from singlet.fusion import fuse_proj_typical, fuse_simple_typical, fuse_typical_typical
-from singlet.modules import FockTypical
+from singlet.modules import FockTypical, lowest_weight
 from singlet.orbifold import OrbifoldParams, VTypical, v_typical
 from singlet.weights import (
     Params,
@@ -68,6 +68,18 @@ def test_alpha_coord_periodicity():
 )
 def test_conformal_weight(p, q, h):
     assert conformal_weight(Weight(Fraction(q), p)) == h
+
+
+def test_typical_lowest_weight_is_the_conformal_weight():
+    # lowest_weight reads a typical coordinate's numerator and denominator
+    # ints; conformal_weight works on the Fraction itself.
+    for p in range(2, 12):
+        params = Params(p)
+        for d in range(2, 13):
+            for n in range(-3 * p * d, 3 * p * d + 1):
+                if n % d:
+                    q = Fraction(n, d)
+                    assert lowest_weight(params, FockTypical(q)) == conformal_weight(Weight(q, p)), (p, q)
 
 
 def test_conformal_weight_matches_kac_table(p3):
