@@ -29,6 +29,7 @@ from singlet.orbifold import (
     is_local,
     lift_atom,
     list_simples,
+    normalize_orbifold_atom,
     orbifold_char_expr,
     orbifold_fuse,
     orbifold_projective_cover,
@@ -141,6 +142,21 @@ def test_induce_examples(op22):
 def test_induce_reports_the_first_bad_term(op22, terms, error, atom):
     with pytest.raises(error, match=re.escape(atom)):
         induce(op22, ModuleExpr.of(*terms))
+
+
+@pytest.mark.parametrize("atom, text", [(FockAtypical(1, 1), "Fa(1,1)"), (GenVerma(1, 1), "G(1,1)")])
+def test_induce_refuses_the_structural_species(op22, atom, text):
+    with pytest.raises(UnsupportedSpecies) as err:
+        induce(op22, atom)
+    assert str(err.value) == f"induction is not defined for {text}"
+
+
+@pytest.mark.parametrize("convert", [lift_atom, normalize_orbifold_atom])
+@pytest.mark.parametrize("atom", [MSimple(1, 1), "x"])
+def test_only_orbifold_labels_lift_and_normalize(op22, convert, atom):
+    with pytest.raises(DomainError) as err:
+        convert(op22, atom)
+    assert str(err.value) == f"not an orbifold module label: {atom!r}"
 
 
 def test_induce_keeps_the_images_of_good_labels_only():

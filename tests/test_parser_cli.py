@@ -58,6 +58,18 @@ def test_semantic_errors(p2, text):
         parse_expr(text, p2)
 
 
+def test_error_texts_of_a_species_and_a_coordinate(p2):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("X(1,1)", p2)
+    assert str(err.value) == "unknown species 'X' (at byte 0)"
+    with pytest.raises(ExprSemanticError) as err:
+        parse_expr("F(1)", p2)
+    assert str(err.value) == "typical Fock coordinate must be non-integral, got 1: F(1)"
+    with pytest.raises(ExprSemanticError) as err:
+        parse_expr("V(1)", p2, OrbifoldParams(2, 2))
+    assert str(err.value) == "V coordinate must be non-integral, got 1: V(1)"
+
+
 def test_mixing_families_is_semantic_error(p2):
     with pytest.raises(ExprSemanticError):
         parse_expr("M(1,1) + W(0,1)", p2, OrbifoldParams(2, 2))
