@@ -11,10 +11,10 @@ Species
 Labels are frozen values with ``__slots__``, so that no label carries a
 ``__dict__``: product caches hold thousands of them.  Their equality, hash
 and repr are the one rule of :class:`~singlet.weights.Value`: equal only
-within a species, on equal fields.  ``PairLabel`` and ``FockTypical`` are
-hashed on every product, so they state that equality and hash without
-building a field tuple; a ``FockTypical`` compares the (numerator,
-denominator) ints of its coordinate and caches its hash.
+within a species, on equal fields.  Every label is a ``PairLabel`` of two
+ints (r, s) or a ``CoordLabel`` of one rational q; these two state that
+equality and hash without building a field tuple, and a ``CoordLabel``
+compares the (numerator, denominator) ints of q and caches its hash.
 
 ``Proj(r, p)`` and ``FockAtypical(r, p)`` are never stored; the label
 conventions collapse both to ``MSimple(r, p)`` in :func:`normalize_atom` only.
@@ -97,31 +97,39 @@ class MSimple(PairLabel):
     _RANK = 0
 
 
-class FockTypical(Value):
+class CoordLabel(Value):
+    """A label ``Name(q)`` of one rational coordinate."""
+
     __slots__ = ("q", "_key", "_hash")
     _fields = ("q",)
-    _TAG = "F"
-    _RANK = 1
 
     def __init__(self, q: Fraction):
         if q.__class__ is not Fraction:
             q = exact(q)
-        if q.denominator == 1:
-            raise DomainError(f"typical Fock coordinate must be non-integral, got {q}")
         _setattr(self, "q", q)
-        # Fraction hashing and equality are slow and these atoms are dict
-        # keys on every product: equality compares the coordinate's
-        # (numerator, denominator) ints, and the hash of (q,) is cached.
+        # Fraction hashing and equality are slow, and labels are dict keys on
+        # every product: compare the ints of q, and cache the hash of (q,).
         _setattr(self, "_key", (q.numerator, q.denominator))
         _setattr(self, "_hash", hash((q,)))
 
     def __eq__(self, other):
-        if other.__class__ is not FockTypical:
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key == other._key
 
     def __hash__(self):
         return self._hash
+
+
+class FockTypical(CoordLabel):
+    __slots__ = ()
+    _TAG = "F"
+    _RANK = 1
+
+    def __init__(self, q: Fraction):
+        super().__init__(q)
+        if self.q.denominator == 1:
+            raise DomainError(f"typical Fock coordinate must be non-integral, got {self.q}")
 
 
 class Proj(PairLabel):
@@ -154,11 +162,13 @@ def sort_key(atom):
     """Total order on labels: species rank, then (r, s) or the coordinate.
 
     Ranks differ between species, so an int r is never compared with a
-    Fraction coordinate."""
-    q = getattr(atom, "q", None)
-    if q is not None:
-        return (atom._RANK, q, 0)
-    return (atom._RANK, atom.r, atom.s)
+    Fraction coordinate.  Sorting a sum is the first thing most operations
+    do, so a value that is not a label raises DomainError here."""
+    try:
+        q = getattr(atom, "q", None)
+        return (atom._RANK, atom.r, atom.s) if q is None else (atom._RANK, q, 0)
+    except AttributeError:
+        raise DomainError(f"not a module label: {atom!r}") from None
 
 
 def _check_s(p: int, s: int, what: str, top: int | None = None):

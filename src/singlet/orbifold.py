@@ -13,6 +13,10 @@ a tensor functor, so an orbifold product is computed in one way: lift both
 labels to singlet representatives, fuse there, and induce back.  The
 ``orbifold`` check suite and the property tests require the result not to
 depend on the chosen lifts.
+
+Each orbifold species is the induction of one singlet species: the table
+``_LIFTS`` maps each orbifold class to the singlet class of its canonical lift
+and to its normalizer, and lifting, induction and normalization all read it.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .characters import CharacterSum, ch_expr
 from .errors import DomainError, NotLocal, SingletError, UnsupportedSpecies
 from .fusion import fuse
 from .modules import (
+    CoordLabel,
     FockTypical,
     ModuleExpr,
     MSimple,
@@ -93,13 +98,10 @@ class WSimple(PairLabel):
     _RANK = 5
 
 
-class VTypical(Value):
-    __slots__ = _fields = ("q",)
+class VTypical(CoordLabel):
+    __slots__ = ()
     _TAG = "V"
     _RANK = 6
-
-    def __init__(self, q: Fraction):
-        _setattr(self, "q", exact(q))
 
 
 class RProj(PairLabel):
@@ -129,14 +131,24 @@ def v_typical(op: OrbifoldParams, q) -> VTypical:
     return VTypical(q % op.q_modulus)
 
 
+# Orbifold class -> (singlet class of its canonical lift, normalizer).
+_LIFTS = {
+    WSimple: (MSimple, w_simple),
+    RProj: (Proj, r_proj),
+    VTypical: (FockTypical, v_typical),
+}
+# Singlet class -> normalizer of its image, for the species that induce.
+_IMAGES = {lift: normalize for lift, normalize in _LIFTS.values()}
+
+
+def _lift_entry(atom) -> tuple:
+    if atom.__class__ not in _LIFTS:
+        raise DomainError(f"not an orbifold module label: {atom!r}")
+    return _LIFTS[atom.__class__]
+
+
 def normalize_orbifold_atom(op: OrbifoldParams, atom):
-    if isinstance(atom, WSimple):
-        return w_simple(op, atom.r, atom.s)
-    if isinstance(atom, RProj):
-        return r_proj(op, atom.r, atom.s)
-    if isinstance(atom, VTypical):
-        return v_typical(op, atom.q)
-    raise DomainError(f"not an orbifold module label: {atom!r}")
+    return _lift_entry(atom)[1](op, *atom._values())
 
 
 def list_simples(op: OrbifoldParams) -> list:
@@ -160,21 +172,13 @@ def _induce_atom(op: OrbifoldParams, atom):
     computed and kept there; a bad label raises and is not kept."""
     image = op.images.get(atom)
     if image is None:
-        image = op.images[atom] = _induce_new_atom(op, atom)
+        singlet = normalize_atom(op.singlet, atom)
+        if singlet.__class__ not in _IMAGES:
+            raise UnsupportedSpecies(f"induction is not defined for {label(singlet)}")
+        if not is_local(op, singlet):
+            raise NotLocal(f"{label(singlet)} is not local at m={op.m}")
+        image = op.images[atom] = _IMAGES[singlet.__class__](op, *singlet._values())
     return image
-
-
-def _induce_new_atom(op: OrbifoldParams, atom):
-    atom = normalize_atom(op.singlet, atom)
-    if isinstance(atom, MSimple):
-        return w_simple(op, atom.r, atom.s)
-    if isinstance(atom, Proj):
-        return r_proj(op, atom.r, atom.s)
-    if isinstance(atom, FockTypical):
-        if not is_local(op, atom):
-            raise NotLocal(f"{label(atom)} is not local at m={op.m}")
-        return v_typical(op, atom.q)
-    raise UnsupportedSpecies(f"induction is not defined for {label(atom)}")
 
 
 def induce(op: OrbifoldParams, x) -> ModuleExpr:
@@ -192,13 +196,7 @@ def induce(op: OrbifoldParams, x) -> ModuleExpr:
 
 def lift_atom(op: OrbifoldParams, atom):
     """Canonical singlet representative of an orbifold label."""
-    if isinstance(atom, WSimple):
-        return MSimple(atom.r, atom.s)
-    if isinstance(atom, RProj):
-        return Proj(atom.r, atom.s)
-    if isinstance(atom, VTypical):
-        return FockTypical(atom.q)
-    raise DomainError(f"not an orbifold module label: {atom!r}")
+    return _lift_entry(atom)[0](*atom._values())
 
 
 def orbifold_fuse(op: OrbifoldParams, x, y) -> ModuleExpr:

@@ -29,15 +29,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, ExprSemanticError, ExprSyntaxError
-from .modules import FockAtypical, FockTypical, GenVerma, ModuleExpr, MSimple, Proj, normalize_atom
-from .orbifold import OrbifoldParams, RProj, VTypical, WSimple, normalize_orbifold_atom
+from .modules import CoordLabel, FockAtypical, FockTypical, GenVerma, ModuleExpr, MSimple, Proj, normalize_atom
+from .orbifold import _LIFTS, OrbifoldParams, normalize_orbifold_atom
 from .weights import Params
 
 __all__ = ["parse_expr", "is_orbifold_expr"]
 
-_PAIR_SPECIES = {"M": MSimple, "P": Proj, "Fa": FockAtypical, "G": GenVerma, "W": WSimple, "R": RProj}
-_COORD_SPECIES = {"F": FockTypical, "V": VTypical}
-_ORBIFOLD = (WSimple, VTypical, RProj)
+_SPECIES = {cls._TAG: cls for cls in (MSimple, FockTypical, Proj, FockAtypical, GenVerma, *_LIFTS)}
 _DIGITS = frozenset("0123456789")
 _SPACE = frozenset(" \t\n\r\x0b\x0c")
 
@@ -108,23 +106,21 @@ class _Scanner:
 
 
 def _parse_atom(sc: _Scanner):
+    """The class, constructor arguments and text of the next atom."""
     start = sc.pos
     name = sc.name()
-    if name in _PAIR_SPECIES:
-        sc.expect("(")
+    cls = _SPECIES.get(name)
+    if cls is None:
+        sc.error(f"unknown species {name!r}", start)
+    sc.expect("(")
+    if issubclass(cls, CoordLabel):
+        args = (sc.rational(),)
+    else:
         r = sc.integer()
         sc.expect(",")
-        s = sc.integer()
-        sc.expect(")")
-        head = (name, (r, s))
-    elif name in _COORD_SPECIES:
-        sc.expect("(")
-        q = sc.rational()
-        sc.expect(")")
-        head = (name, (q,))
-    else:
-        sc.error(f"unknown species {name!r}", start)
-    return head, sc.text[start : sc.pos].strip()
+        args = (r, sc.integer())
+    sc.expect(")")
+    return cls, args, sc.text[start : sc.pos].strip()
 
 
 def _parse_terms(text: str):
@@ -134,28 +130,23 @@ def _parse_terms(text: str):
         sc.error("empty expression")
     while True:
         sc.skip_ws()
-        mult, mult_text = 1, None
+        mult = 1
         if sc.peek() in _DIGITS or sc.peek() == "-":
             mult = sc.integer()
-            mult_text = str(mult)
             sc.expect("*")
-        head, atom_text = _parse_atom(sc)
-        terms.append((mult, mult_text, head, atom_text))
+        terms.append((mult, *_parse_atom(sc)))
         if sc.at_end():
             return terms
         sc.expect("+")
 
 
-def _build_atom(head, text, params: Params, op: OrbifoldParams | None):
-    name, args = head
-    cls = _PAIR_SPECIES.get(name) or _COORD_SPECIES[name]
-    if cls in _ORBIFOLD and op is None:
+def _build_atom(cls, args, text, params: Params, op: OrbifoldParams | None):
+    orbifold = cls in _LIFTS
+    if orbifold and op is None:
         raise ExprSemanticError("orbifold labels require --m", text)
     try:
         atom = cls(*args)
-        if cls in _ORBIFOLD:
-            return normalize_orbifold_atom(op, atom)
-        return normalize_atom(params, atom)
+        return normalize_orbifold_atom(op, atom) if orbifold else normalize_atom(params, atom)
     except DomainError as exc:
         raise ExprSemanticError(str(exc), text) from None
 
@@ -164,11 +155,11 @@ def parse_expr(text: str, params: Params, op: OrbifoldParams | None = None) -> M
     """Parse and validate an expression against the active parameters."""
     terms = []
     families = set()
-    for mult, mult_text, head, atom_text in _parse_terms(text):
+    for mult, cls, args, atom_text in _parse_terms(text):
         if mult < 1:
-            raise ExprSemanticError("multiplicity must be a positive integer", f"{mult_text}*{atom_text}")
-        atom = _build_atom(head, atom_text, params, op)
-        families.add(isinstance(atom, _ORBIFOLD))
+            raise ExprSemanticError("multiplicity must be a positive integer", f"{mult}*{atom_text}")
+        atom = _build_atom(cls, args, atom_text, params, op)
+        families.add(atom.__class__ in _LIFTS)
         terms.append((atom, mult))
     if len(families) > 1:
         raise ExprSemanticError("cannot mix orbifold and singlet labels in one expression", text.strip())
@@ -176,4 +167,4 @@ def parse_expr(text: str, params: Params, op: OrbifoldParams | None = None) -> M
 
 
 def is_orbifold_expr(expr: ModuleExpr) -> bool:
-    return any(isinstance(a, _ORBIFOLD) for a in expr.atoms())
+    return any(a.__class__ in _LIFTS for a in expr.atoms())

@@ -51,8 +51,8 @@ class Value:
     are of the same class with equal tuples, the hash is the hash of the
     tuple, the repr is ``Name(field=value, ...)``, and pickling and copying
     rebuild the object from the tuple.  ``Weight`` and ``UnitPhase`` keep
-    shorter reprs, and the two label types hashed on every product,
-    ``PairLabel`` and ``FockTypical``, state the same equality and hash
+    shorter reprs, and the two label shapes hashed on every product,
+    ``PairLabel`` and ``CoordLabel``, state the same equality and hash
     without building a tuple.
     """
 

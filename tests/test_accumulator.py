@@ -1,16 +1,27 @@
 """The direct-sum accumulator: ``ModuleExpr.combine`` and the operations that
 share its trusted constructor, plus the integer sort keys and cached hashes
-of the atoms it sums."""
+of the atoms it sums, and the error a sum of something else raises."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from singlet.characters import ch_expr, ch_indec
 from singlet.checks import universe
 from singlet.errors import DomainError
-from singlet.modules import FockAtypical, FockTypical, GenVerma, ModuleExpr, MSimple, Proj, sort_key
-from singlet.orbifold import OrbifoldParams, RProj, VTypical, list_simples
+from singlet.fusion import chebyshev_fuse, fuse, k_product, projective_decompose
+from singlet.modules import FockAtypical, FockTypical, GenVerma, ModuleExpr, MSimple, Proj, k_class, sort_key
+from singlet.orbifold import (
+    OrbifoldParams,
+    RProj,
+    VTypical,
+    WSimple,
+    induce,
+    list_simples,
+    orbifold_char_expr,
+    orbifold_fuse,
+)
 from singlet.weights import Params
 
 F12 = FockTypical(Fraction(1, 2))
@@ -98,12 +109,13 @@ def test_integer_sort_key_keeps_the_fraction_order():
     assert len({type(a) for a in atoms}) == 8
 
 
-def test_equal_typical_atoms_hash_and_compare_equal():
-    a, b, c = FockTypical(Fraction(1, 2)), FockTypical(Fraction(2, 4)), FockTypical("1/2")
+@pytest.mark.parametrize("cls", [FockTypical, VTypical])
+def test_equal_typical_atoms_hash_and_compare_equal(cls):
+    a, b, c = cls(Fraction(1, 2)), cls(Fraction(2, 4)), cls("1/2")
     assert a == b == c
     assert hash(a) == hash(b) == hash(c) == hash((Fraction(1, 2),))
     assert len({a, b, c}) == 1
-    assert FockTypical(Fraction(1, 2)) != FockTypical(Fraction(-1, 2))
+    assert cls(Fraction(1, 2)) != cls(Fraction(-1, 2))
     assert ModuleExpr.of(a, b).multiplicity(c) == 2
 
 
@@ -113,3 +125,26 @@ def test_typical_atoms_equal_only_typical_atoms():
     assert half != VTypical(Fraction(1, 2)) and VTypical(Fraction(1, 2)) != half
     assert half != Fraction(1, 2) and Fraction(1, 2) != half
     assert half != MSimple(1, 2)
+
+
+P2, OP22 = Params(2), OrbifoldParams(2, 2)
+ENTRY_POINTS = {
+    "fuse": lambda x: fuse(P2, x, MSimple(1, 1)),
+    "chebyshev_fuse": lambda x: chebyshev_fuse(P2, x, MSimple(1, 1)),
+    "k_class": lambda x: k_class(P2, x),
+    "k_product": lambda x: k_product(P2, x, MSimple(1, 1)),
+    "projective_decompose": lambda x: projective_decompose(P2, x),
+    "ch_expr": lambda x: ch_expr(P2, x, 3),
+    "ch_indec": lambda x: ch_indec(P2, x, 3),
+    "induce": lambda x: induce(OP22, x),
+    "orbifold_fuse": lambda x: orbifold_fuse(OP22, x, WSimple(1, 1)),
+    "orbifold_char_expr": lambda x: orbifold_char_expr(OP22, x, 3),
+}
+
+
+@pytest.mark.parametrize("operand", ["bare", "in a sum"])
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_a_non_label_operand_is_a_domain_error(name, operand):
+    x = "x" if operand == "bare" else ModuleExpr.of(MSimple(1, 1), "x")
+    with pytest.raises(DomainError, match="module label: 'x'"):
+        ENTRY_POINTS[name](x)

@@ -13,7 +13,7 @@ import pytest
 import singlet
 from singlet.characters import QSeries
 from singlet.checks import SuiteResult
-from singlet.modules import FockAtypical, FockTypical, GenVerma, MSimple, PairLabel, Proj
+from singlet.modules import CoordLabel, FockAtypical, FockTypical, GenVerma, MSimple, PairLabel, Proj
 from singlet.orbifold import OrbifoldParams, RProj, VTypical, WSimple
 from singlet.weights import Params, UnitPhase, Value, Weight
 
@@ -112,9 +112,9 @@ def test_every_value_class_has_a_semantics_case():
 
 
 def test_value_rule_is_stated_once():
-    """Only the labels hashed on every product restate equality and hash,
-    and only Weight and UnitPhase have a repr of their own."""
+    """Only the two label shapes, hashed on every product, restate equality
+    and hash, and only Weight and UnitPhase have a repr of their own."""
     defining = lambda name: {cls for cls in _value_classes() if name in vars(cls)}
-    assert defining("__eq__") == defining("__hash__") == {PairLabel, FockTypical}
+    assert defining("__eq__") == defining("__hash__") == {PairLabel, CoordLabel}
     assert defining("__repr__") == {Weight, UnitPhase}
     assert not defining("__reduce__")
