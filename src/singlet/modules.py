@@ -26,11 +26,11 @@ A :class:`ModuleExpr` is a finite multiset of labels with positive integer
 multiplicities.  K-classes (multisets of composition factors) reuse the same
 container, restricted to simple species.
 
-:meth:`ModuleExpr.combine` is the one way to accumulate a direct sum: it
-adds ``n * expr`` over ``(n, expr)`` pairs into a single dict, checking each
-scalar once.  ``ModuleExpr(...)`` validates every multiplicity it is given;
-the results of ``combine``, ``+``, ``*``, ``subtract`` and ``map_atoms`` are
-valid by construction (no zero or negative multiplicity) and skip that pass.
+:meth:`ModuleExpr.combine` is the one way to accumulate a direct sum, and
+:meth:`ModuleExpr.expand` the one way to extend a rule on labels over one:
+of several bad terms, the first in canonical order is reported.  The results
+of ``combine``, ``+``, ``*``, ``subtract`` and ``expand`` are valid by
+construction; ``ModuleExpr(...)`` validates every multiplicity it is given.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .errors import DomainError, NonSemisimpleTwist, UnsupportedSpecies
+from .errors import DomainError, NonSemisimpleTwist, SingletError, UnsupportedSpecies
 from .weights import Params, UnitPhase, Value, exact, h_rs
 
 __all__ = [
@@ -292,11 +292,20 @@ class ModuleExpr:
                 out.pop(atom, None)
         return ModuleExpr._trusted(out)
 
-    def map_atoms(self, fn) -> "ModuleExpr":
+    def expand(self, fn) -> "ModuleExpr":
+        """Sum of ``mult * fn(atom)`` over the terms, in dict order, for ``fn``
+        mapping a label to an iterable of labels.  On a SingletError, ``fn`` is
+        called again over the terms in canonical order, so the first bad one
+        there is reported: ``fn`` must raise when called, not when iterated."""
         out: dict = {}
-        for atom, mult in self._terms.items():
-            new = fn(atom)
-            out[new] = out.get(new, 0) + mult
+        try:
+            for atom, mult in self._terms.items():
+                for new in fn(atom):
+                    out[new] = out.get(new, 0) + mult
+        except SingletError:
+            for atom, _ in self.terms():
+                fn(atom)
+            raise
         return ModuleExpr._trusted(out)
 
     def __str__(self):
@@ -380,7 +389,7 @@ def dual_atom(params: Params, atom):
 
 def dual(params: Params, x) -> ModuleExpr:
     """Termwise contragredient; an involution on everything but GenVerma."""
-    return as_expr(x).map_atoms(lambda a: dual_atom(params, normalize_atom(params, a)))
+    return as_expr(x).expand(lambda atom: (dual_atom(params, normalize_atom(params, atom)),))
 
 
 def _layers(p: int, atom) -> tuple:
@@ -416,10 +425,7 @@ def verma_quotient_factors(params: Params, r: int, s: int) -> ModuleExpr:
 def k_class(params: Params, x) -> ModuleExpr:
     """Multiset of composition factors (Grothendieck-group element)."""
     p = params.p
-    return ModuleExpr.combine(
-        (mult, ModuleExpr.of(*chain.from_iterable(_layers(p, normalize_atom(params, atom)))))
-        for atom, mult in as_expr(x).terms()
-    )
+    return as_expr(x).expand(lambda atom: chain.from_iterable(_layers(p, normalize_atom(params, atom))))
 
 
 def loewy_layers(params: Params, atom) -> list[list]:
@@ -441,7 +447,7 @@ def lowest_weight(params: Params, atom) -> Fraction:
         n, d = atom._key
         p = params.p
         return Fraction(n * (n + 2 * d * (p - 1)), 4 * p * d * d)
-    return min(lowest_weight(params, a) for a in k_class(params, atom).atoms())
+    return min(lowest_weight(params, a) for a in chain.from_iterable(_layers(params.p, atom)))
 
 
 def t_grade(params: Params, atom) -> Fraction:

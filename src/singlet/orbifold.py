@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .characters import CharacterSum, ch_expr
-from .errors import DomainError, NotLocal, SingletError, UnsupportedSpecies
+from .errors import DomainError, NotLocal, UnsupportedSpecies
 from .fusion import fuse
 from .modules import (
     CoordLabel,
@@ -182,16 +182,10 @@ def _induce_atom(op: OrbifoldParams, atom):
 
 
 def induce(op: OrbifoldParams, x) -> ModuleExpr:
-    """Induction of a local singlet expression to the orbifold, term by term.
-    Of several bad terms, the first in canonical order is reported."""
-    x = as_expr(x)
-    try:
-        return x.map_atoms(lambda atom: _induce_atom(op, atom))
-    except SingletError:
-        # Some term is bad: the canonical order decides which is reported.
-        for atom, _ in x.terms():
-            _induce_atom(op, atom)
-        raise
+    """Induction of a local singlet expression to the orbifold, term by term
+    through :meth:`ModuleExpr.expand`: of several bad terms, the first in
+    canonical order is reported."""
+    return as_expr(x).expand(lambda atom: (_induce_atom(op, atom),))
 
 
 def lift_atom(op: OrbifoldParams, atom):
@@ -229,7 +223,7 @@ def orbifold_projective_cover(op: OrbifoldParams, w) -> tuple:
     return cover, [[atom], middle, [atom]]
 
 
-def _orbit_lifts(op: OrbifoldParams, atom, depth: int) -> ModuleExpr:
+def _orbit_lifts(op: OrbifoldParams, atom, depth: int) -> list:
     """All singlet lifts of ``atom`` whose lowest weight lies within
     ``depth`` of the orbit minimum.
 
@@ -254,14 +248,11 @@ def _orbit_lifts(op: OrbifoldParams, atom, depth: int) -> ModuleExpr:
         while lowest_weight(singlet, x) <= top:
             kept.append(x)
             x = shift(singlet, x, k)
-    return ModuleExpr.of(*kept)
+    return kept
 
 
 def orbifold_char_expr(op: OrbifoldParams, x, n: int) -> CharacterSum:
     """Truncated character of an orbifold expression (or of a single label):
     the sum of the characters of each summand's singlet lifts over its orbit."""
-    lifted = ModuleExpr.combine(
-        (mult, _orbit_lifts(op, normalize_orbifold_atom(op, atom), n))
-        for atom, mult in as_expr(x).terms()
-    )
+    lifted = as_expr(x).expand(lambda atom: _orbit_lifts(op, normalize_orbifold_atom(op, atom), n))
     return ch_expr(op.singlet, lifted, n)

@@ -63,8 +63,8 @@ def test_no_result_stores_a_zero_multiplicity():
         ModuleExpr.zero() + ModuleExpr.zero(),
         X.subtract(X),
         (X + Y).subtract(X),
-        X.map_atoms(lambda atom: F12),
-        ModuleExpr.zero().map_atoms(lambda atom: F12),
+        X.expand(lambda atom: (F12,)),
+        ModuleExpr.zero().expand(lambda atom: (F12,)),
         0 * X,
         3 * Y,
         X * 2,
@@ -75,7 +75,7 @@ def test_no_result_stores_a_zero_multiplicity():
         assert all(isinstance(m, int) and m > 0 for m in stored(expr)), expr
     assert X.subtract(X) == ModuleExpr.zero()
     assert (X + Y).subtract(X) == Y
-    assert X.map_atoms(lambda atom: F12) == ModuleExpr([(F12, 3)])
+    assert X.expand(lambda atom: (F12,)) == ModuleExpr([(F12, 3)])
 
 
 @pytest.mark.parametrize("terms", [{MSimple(1, 1): -1}, [(MSimple(1, 1), 1.5)], [(F12, "1")]])

@@ -284,7 +284,7 @@ def test_orbit_lifts_match_brute_force_scan():
         weights = [lowest_weight(op.singlet, lift) for lift in lifts]
         best = min(weights)
         brute = ModuleExpr.of(*(lift for lift, w in zip(lifts, weights) if w <= best + depth))
-        assert _orbit_lifts(op, atom, depth) == brute, (op, atom, depth)
+        assert ModuleExpr.of(*_orbit_lifts(op, atom, depth)) == brute, (op, atom, depth)
 
 
 def test_orbit_minimum_lies_next_to_the_canonical_lift():

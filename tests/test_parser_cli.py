@@ -246,6 +246,11 @@ def test_cli_loewy_and_verma():
     assert (code, out) == (0, "M(-2,1) + M(-1,1)\n")
 
 
+@pytest.mark.parametrize("text", ["G(2,1) + G(1,1)", "G(1,1) + G(2,1)"])
+def test_cli_dual_reports_the_first_bad_term(text):
+    assert run_cli("--p", "3", "dual", text) == (1, "", "error: dual is not defined for G(1,1)\n")
+
+
 def test_cli_phase_commands():
     code, out, _ = run_cli("--p", "2", "grade", "M(2,1) + F(1/2)")
     assert code == 0

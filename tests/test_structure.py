@@ -87,6 +87,14 @@ def test_dual_rejects_gen_verma(p2):
         dual(p2, GenVerma(1, 1))
 
 
+@pytest.mark.parametrize("terms", [(GenVerma(2, 1), GenVerma(1, 1)), (GenVerma(1, 1), GenVerma(2, 1))])
+def test_dual_reports_the_first_bad_term(p3, terms):
+    # G(1,1) sorts before G(2,1), whatever the order the terms were added in.
+    with pytest.raises(UnsupportedSpecies) as err:
+        dual(p3, ModuleExpr.of(*terms))
+    assert str(err.value) == "dual is not defined for G(1,1)"
+
+
 def test_dual_is_involution_and_commutes_with_k_class(p2, p3):
     for params in (p2, p3):
         for atom in species_universe(params):
