@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from .errors import DomainError
-from .modules import FockTypical, ModuleExpr, k_class, lowest_weight
+from .modules import FockTypical, ModuleExpr, as_label, k_class, lowest_weight
 from .weights import Params, Value, exact, h_rs
 
 __all__ = [
@@ -242,7 +242,7 @@ def ch_expr(params: Params, x, n: int) -> CharacterSum:
 
 def ch_indec(params: Params, atom, n: int) -> CharacterSum:
     """Character of a single indecomposable."""
-    return ch_expr(params, ModuleExpr.of(atom), n)
+    return ch_expr(params, ModuleExpr.of(as_label(atom)), n)
 
 
 def check_character_identity(params: Params, lhs, rhs, n: int) -> bool:

@@ -49,6 +49,7 @@ from .modules import (
     Proj,
     _check_s,
     as_expr,
+    as_label,
     k_class,
     label,
     normalize_atom,
@@ -259,7 +260,7 @@ class _Table:
         first bad label."""
         index = self.index
         out = []
-        for atom, mult in x.items() if isinstance(x, ModuleExpr) else ((x, 1),):
+        for atom, mult in x.items() if isinstance(x, ModuleExpr) else ((as_label(x), 1),):
             i = index.get(atom)
             if i is None:
                 i = index[atom] = self.intern(_fusable(self.params, atom))

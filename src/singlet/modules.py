@@ -48,6 +48,7 @@ __all__ = [
     "FockAtypical",
     "GenVerma",
     "ModuleExpr",
+    "as_label",
     "as_expr",
     "term_pairs",
     "label",
@@ -335,8 +336,17 @@ class ModuleExpr:
         return out
 
 
+def as_label(x):
+    """``x`` itself if it is a module label; DomainError on anything else,
+    before a list or a dict can fail as a dict key."""
+    if not isinstance(x, (PairLabel, CoordLabel)):
+        raise DomainError(f"not a module label: {x!r}")
+    return x
+
+
 def as_expr(x) -> ModuleExpr:
-    return x if isinstance(x, ModuleExpr) else ModuleExpr.of(x)
+    """``x`` if it is an expression, else the one-term sum of the label ``x``."""
+    return x if isinstance(x, ModuleExpr) else ModuleExpr.of(as_label(x))
 
 
 def term_pairs(x, y, normalize):

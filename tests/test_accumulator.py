@@ -3,6 +3,7 @@ share its trusted constructor, plus the integer sort keys and cached hashes
 of the atoms it sums, and the error a sum of something else raises."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from singlet.characters import ch_expr, ch_indec
 from singlet.checks import universe
 from singlet.errors import DomainError
 from singlet.fusion import chebyshev_fuse, fuse, k_product, projective_decompose
-from singlet.modules import FockAtypical, FockTypical, GenVerma, ModuleExpr, MSimple, Proj, k_class, sort_key
+from singlet.modules import FockAtypical, FockTypical, GenVerma, ModuleExpr, MSimple, Proj, dual, k_class, sort_key
 from singlet.orbifold import (
     OrbifoldParams,
     RProj,
@@ -139,12 +140,22 @@ ENTRY_POINTS = {
     "induce": lambda x: induce(OP22, x),
     "orbifold_fuse": lambda x: orbifold_fuse(OP22, x, WSimple(1, 1)),
     "orbifold_char_expr": lambda x: orbifold_char_expr(OP22, x, 3),
+    "fuse_right": lambda x: fuse(P2, MSimple(1, 1), x),
+    "dual": lambda x: dual(P2, x),
+}
+# Operand -> (the operand, the non-label it holds).  A list or a dict is
+# unhashable, so it must be refused before it is used as a dict key.
+OPERANDS = {
+    "bare": ("x", "x"),
+    "in a sum": (ModuleExpr.of(MSimple(1, 1), "x"), "x"),
+    "a list": ([1], [1]),
+    "a dict": ({}, {}),
 }
 
 
-@pytest.mark.parametrize("operand", ["bare", "in a sum"])
+@pytest.mark.parametrize("operand", OPERANDS)
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_a_non_label_operand_is_a_domain_error(name, operand):
-    x = "x" if operand == "bare" else ModuleExpr.of(MSimple(1, 1), "x")
-    with pytest.raises(DomainError, match="module label: 'x'"):
+    x, bad = OPERANDS[operand]
+    with pytest.raises(DomainError, match=re.escape(f"module label: {bad!r}")):
         ENTRY_POINTS[name](x)
