@@ -314,8 +314,12 @@ def _suite_orbifold(params: Params, m: int) -> SuiteResult:
                 cover == orbifold.RProj(r, s) and layers == induced,
                 f"cover layers differ from induced layers at W({r},{s})",
             )
+    # The first 2p W labels and the first 2p V labels (none at m = 1): W
+    # sorts first and there are 2pm of them, so a plain prefix holds no V.
     depth = 10
-    for atom in simples[: 4 * p]:
+    ws = [a for a in simples if isinstance(a, orbifold.WSimple)]
+    vs = [a for a in simples if isinstance(a, orbifold.VTypical)]
+    for atom in ws[: 2 * p] + vs[: 2 * p]:
         if isinstance(atom, orbifold.WSimple):
             lifts = [MSimple(atom.r + op.r_modulus * n, atom.s) for n in range(-8, 9)]
         else:

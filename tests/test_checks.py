@@ -6,7 +6,7 @@ import hashlib
 
 import pytest
 
-from singlet import checks, fusion
+from singlet import checks, fusion, orbifold
 from singlet.checks import SuiteResult, run_suite
 from singlet.modules import ModuleExpr, MSimple, Proj
 from singlet.weights import Params
@@ -55,10 +55,13 @@ EVERY_CASE_FAILING = {
     "orbifold": (
         345,
         "simple count is not 2pm^2 at (p,m)=(2,3)",
-        "orbit character window failed at W(3,2)",
-        "9fb7574d2bea121a085ff7f47800afcb103cfb1038b517ac0ae3a89d98688a69",
+        "orbit character window failed at V(5/3)",
+        "6e06225fd1b11f8a76a6360c5cebbaef3100eac63a7b12235a01409c86adb745",
     ),
 }
+# The orbifold entry was recorded again when its orbit windows took the
+# first 2p W and 2p V labels: its last four texts, which named W(2,1) to
+# W(3,2), now name V(1/3) to V(5/3); the 341 before them are unchanged.
 
 
 @pytest.mark.parametrize("name", checks.SUITE_NAMES)
@@ -108,6 +111,26 @@ def test_one_wrong_row_fails_associativity_at_that_pair(monkeypatch, fresh_rows)
     fusion._fuse_atoms.cache_clear()
     fusion._TABLES.clear()
     assert run_suite("associativity", Params(3)) == [SuiteResult("associativity", 30783)]
+
+
+@pytest.mark.parametrize("p, m, failures", [(2, 2, 4), (3, 4, 6)])
+def test_a_fault_in_the_v_windows_fails_the_orbifold_suite(monkeypatch, p, m, failures):
+    # Drop one lift of every V window; the W windows stay right.
+    lifts = orbifold._orbit_lifts
+
+    def short(op, atom, depth):
+        kept = lifts(op, atom, depth)
+        return kept[1:] if isinstance(atom, orbifold.VTypical) else kept
+
+    monkeypatch.setattr(orbifold, "_orbit_lifts", short)
+    [res] = run_suite("orbifold", Params(p), m=m)
+    assert len(res.failures) == failures
+    assert all(f.startswith("orbit character window failed at V(") for f in res.failures)
+
+
+def test_an_unknown_suite_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suite("nope", Params(2))
 
 
 def test_passing_cases_format_nothing():
