@@ -89,6 +89,12 @@ def test_public_constructor_drops_zero_multiplicities():
     assert stored(ModuleExpr({MSimple(1, 1): 0, F12: 2})) == [2]
 
 
+def test_public_constructor_copies_an_expression():
+    copy = ModuleExpr(X)
+    assert copy == X and stored(copy) == stored(X)
+    assert copy._terms is not X._terms
+
+
 def fraction_sort_key(atom):
     """The sort key as it was defined with ``Fraction`` components."""
     q = getattr(atom, "q", None)

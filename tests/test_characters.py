@@ -115,6 +115,17 @@ def test_ch_vir_irr_domain(p2):
         ch_vir_irr(p2, 1, 3, 5)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda p: ch_expr(p, MSimple(1, 1), -1), lambda p: ch_vir_irr(p, 1, 1, -1)],
+    ids=["ch_expr", "ch_vir_irr"],
+)
+def test_a_negative_order_is_refused(p2, call):
+    with pytest.raises(DomainError) as err:
+        call(p2)
+    assert str(err.value) == "truncation order must be >= 0, got -1"
+
+
 def test_vacuum_character(p2):
     got = ch_indec(p2, MSimple(1, 1), 5)
     assert got.series() == [QSeries(0, (1, 0, 1, 2, 3, 4))]

@@ -228,6 +228,12 @@ def test_projective_covers(op21, op22):
     assert layers == [[WSimple(1, 3)]]
 
 
+def test_a_cover_label_has_no_cover(op22):
+    with pytest.raises(DomainError) as err:
+        orbifold_projective_cover(op22, RProj(1, 1))
+    assert str(err.value) == "R(1,1) is not simple"
+
+
 def test_cover_layers_match_induced_projective(op21, op22):
     for op in (op21, op22):
         params = op.singlet

@@ -251,6 +251,11 @@ def test_cli_dual_reports_the_first_bad_term(text):
     assert run_cli("--p", "3", "dual", text) == (1, "", "error: dual is not defined for G(1,1)\n")
 
 
+@pytest.mark.parametrize("text", ["W(1,1)", "V(1/2)"])
+def test_cli_loewy_of_an_orbifold_simple_is_the_label(text):
+    assert run_cli("--p", "2", "--m", "2", "loewy", text) == (0, f"{text}\n", "")
+
+
 def test_cli_phase_commands():
     code, out, _ = run_cli("--p", "2", "grade", "M(2,1) + F(1/2)")
     assert code == 0
