@@ -59,9 +59,8 @@ EVERY_CASE_FAILING = {
         "6e06225fd1b11f8a76a6360c5cebbaef3100eac63a7b12235a01409c86adb745",
     ),
 }
-# The orbifold entry was recorded again when its orbit windows took the
-# first 2p W and 2p V labels: its last four texts, which named W(2,1) to
-# W(3,2), now name V(1/3) to V(5/3); the 341 before them are unchanged.
+# The orbifold entry was recorded again when its orbit windows came to take
+# V labels: only its last four texts changed.
 
 
 @pytest.mark.parametrize("name", checks.SUITE_NAMES)
