@@ -448,16 +448,15 @@ def loewy_layers(params: Params, atom) -> list[list]:
 
 
 def lowest_weight(params: Params, atom) -> Fraction:
-    """Minimal conformal weight of the atom."""
+    """Minimal conformal weight of the atom: that of F(q), or the least over
+    the composition factors M(r,s) of any other label."""
     atom = normalize_atom(params, atom)
-    if isinstance(atom, MSimple):
-        return h_rs(params, max(atom.r, 2 - atom.r), atom.s)
     if isinstance(atom, FockTypical):
         # conformal_weight's (q^2 + 2q(p-1))/4p on q = n/d, as one Fraction.
         n, d = atom._key
         p = params.p
         return Fraction(n * (n + 2 * d * (p - 1)), 4 * p * d * d)
-    return min(lowest_weight(params, a) for a in chain.from_iterable(_layers(params.p, atom)))
+    return min(h_rs(params, max(a.r, 2 - a.r), a.s) for a in chain.from_iterable(_layers(params.p, atom)))
 
 
 def t_grade(params: Params, atom) -> Fraction:
