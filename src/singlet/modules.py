@@ -19,8 +19,8 @@ compares the (numerator, denominator) ints of q and caches its hash.
 ``Proj(r, p)`` and ``FockAtypical(r, p)`` are never stored; the label
 conventions collapse both to ``MSimple(r, p)`` in :func:`normalize_atom` only.
 The socle series of each species, the Verma socle cases included, is stated
-once, in ``_layers``; K-classes, Loewy layers, Verma factors and the test
-of simplicity in :func:`twist_phase` read it.
+once, in ``_layers``; K-classes, Loewy layers, lowest weights, Verma
+factors and the test of simplicity in :func:`twist_phase` read it.
 
 A :class:`ModuleExpr` is a finite multiset of labels with positive integer
 multiplicities.  K-classes (multisets of composition factors) reuse the same
