@@ -320,6 +320,96 @@ def test_cli_json_byte_stable():
         assert first[0] == 0
 
 
+_COMMAND_CHOICES = (
+    "'fuse', 'dual', 'kclass', 'factors', 'loewy', 'char', 'grade', 'twist', 'monodromy', "
+    "'verma', 'induce', 'simples', 'orbfuse', 'check'"
+)
+_SUITE_CHOICES = ", ".join(repr(name) for name in SUITE_NAMES + ("all",))
+
+# argv -> (exit code, stdout, stderr): how the command line is read, apart
+# from what the commands compute.  The error texts are argparse's.
+CLI_SURFACE = [
+    ([], 1, "", "error: the following arguments are required: --p\n"),
+    (["--p", "x"], 1, "", "error: argument --p: invalid int value: 'x'\n"),
+    (["--m", "x"], 1, "", "error: argument --m: invalid int value: 'x'\n"),
+    (["--p", "2", "--p=", "simples"], 1, "", "error: argument --p: invalid int value: ''\n"),
+    (["--p", "2", "verma", "x", "1"], 1, "", "error: argument r: invalid int value: 'x'\n"),
+    (["--p", "2", "verma", "1", "1.5"], 1, "", "error: argument s: invalid int value: '1.5'\n"),
+    (
+        ["--p", "2", "--format", "xml", "simples"],
+        1,
+        "",
+        "error: argument --format: invalid choice: 'xml' (choose from 'text', 'json')\n",
+    ),
+    (
+        ["--p", "2", "frob"],
+        1,
+        "",
+        f"error: argument COMMAND: invalid choice: 'frob' (choose from {_COMMAND_CHOICES})\n",
+    ),
+    (
+        ["--p", "2", "check", "--suite", "nope"],
+        1,
+        "",
+        f"error: argument --suite: invalid choice: 'nope' (choose from {_SUITE_CHOICES})\n",
+    ),
+    (["--p", "2", "fuse", "M(1,1)"], 1, "", "error: the following arguments are required: y\n"),
+    (["--p", "2", "fuse"], 1, "", "error: the following arguments are required: x, y\n"),
+    (["--p", "2", "verma", "1"], 1, "", "error: the following arguments are required: s\n"),
+    (["--p", "2", "fuse", "a", "b", "c"], 1, "", "error: unrecognized arguments: c\n"),
+    (["--p", "2", "check", "extra"], 1, "", "error: unrecognized arguments: extra\n"),
+    (["--p", "2", "-x", "fuse", "a", "b", "-y"], 1, "", "error: unrecognized arguments: -x -y\n"),
+    (["--p", "2", "--order"], 1, "", "error: argument --order: expected one argument\n"),
+    (["--p", "2", "--m", "--order", "3"], 1, "", "error: argument --m: expected one argument\n"),
+    (["--p", "2", "check", "--suite"], 1, "", "error: argument --suite: expected one argument\n"),
+    (["fuse", "--p", "2", "M(1,1)", "M(1,1)"], 1, "", "error: the following arguments are required: --p\n"),
+    (["--p", "3", "fuse", "--p", "2", "M(1,1)"], 1, "", "error: unrecognized arguments: --p\n"),
+    (["--p", "2"], 1, "", "error: a subcommand is required\n"),
+    (["--p", "1"], 1, "", "error: p must be an integer >= 2, got 1\n"),
+    # Accepted forms: flags in any order before the command, the last one
+    # winning; --flag=value; unique prefixes; negative ints as values; "--".
+    (["--p", "2", "fuse", "M(1,2)", "M(1,2)"], 0, "P(1,1)\n", ""),
+    (["--p", "2", "--p", "3", "verma", "-2", "1"], 0, "G(-2,1): factors = M(-3,2) + M(-2,1); "
+     "layers = M(-2,1) | M(-3,2); h0 = 39/4\n", ""),
+    (["--m", "2", "--format=json", "--p", "2", "induce", "F(1/2)"], 0, '[{"species":"V","q":"1/2","mult":1}]\n', ""),
+    (["--fo", "json", "--p=2", "--format", "text", "fuse", "M(1,2)", "M(1,2)"], 0, "P(1,1)\n", ""),
+    (["--p", "2", "--o", "3", "char", "M(1,1)"], 0, "q^(0) * [1, 0, 1, 2]\n", ""),
+    (["--p", "2", "--ord=3", "char", "M(1,1)"], 0, "q^(0) * [1, 0, 1, 2]\n", ""),
+    (["--p", "2", "--order", "-1", "char", "M(1,1)"], 1, "", "error: truncation order must be >= 0, got -1\n"),
+    (["--p", "2", "factors", "-1", "1"], 0, "M(-2,1) + M(-1,1)\n", ""),
+    (["--p", "2", "check", "--s", "kring"], 0, "kring: 441 cases, 0 failures\nPASS\n", ""),
+    (["--p", "2", "check", "--su=kring"], 0, "kring: 441 cases, 0 failures\nPASS\n", ""),
+    (["--p", "2", "check", "--suite", "grading", "--suite", "kring"], 0, "kring: 441 cases, 0 failures\nPASS\n", ""),
+    (["--p", "2", "fuse", "--", "M(1,2)", "M(1,2)"], 0, "P(1,1)\n", ""),
+    (["--p", "2", "fuse", "M(1,2)", "--", "M(1,2)"], 0, "P(1,1)\n", ""),
+    (["--p", "2", "fuse", "--", "-M(1,2)", "M(1,2)"], 1, "", "error: expected an integer (at byte 0)\n"),
+    (["--p", "2", "fuse", "-M(1,2)", "M(1,2)", "M(1,2)"], 1, "", "error: unrecognized arguments: -M(1,2)\n"),
+    (["--p", "2", "check", "--"], 1, "", "error: unrecognized arguments: --\n"),
+    (["--p", "--", "2", "simples"], 1, "", "error: argument --p: expected one argument\n"),
+    (
+        ["--p", "2", "--", "fuse", "M(1,2)", "M(1,2)"],
+        1,
+        "",
+        f"error: argument COMMAND: invalid choice: '--' (choose from {_COMMAND_CHOICES})\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", CLI_SURFACE, ids=[" ".join(row[0]) or "(none)" for row in CLI_SURFACE]
+)
+def test_cli_surface(argv, code, out, err, monkeypatch):
+    monkeypatch.delenv("SINGLET_ORDER", raising=False)
+    assert run_cli(*argv) == (code, out, err)
+
+
+def test_cli_main_reads_sys_argv(monkeypatch, capsys):
+    # The console script calls main() with no list.
+    monkeypatch.setattr(sys, "argv", ["singlet", "--p", "2", "fuse", "M(1,2)", "M(1,2)"])
+    assert main() == 0
+    assert capsys.readouterr() == ("P(1,1)\n", "")
+
+
 def test_cli_help_exits_zero():
     code, out, _ = run_cli("--help")
     assert code == 0
