@@ -5,14 +5,23 @@ format, and the character truncation order; subcommands dispatch to the
 library.  Exit codes: 0 success, 1 user error (bad flags, syntax/semantic
 errors, domain errors, failing check suites), 2 internal invariant
 violation.  JSON output is canonical and byte-stable across runs.
+
+Two tables define the whole command line: ``_FLAGS``, the global flags, and
+``_COMMANDS``, each subcommand with its arguments.  ``_read`` reads argv by
+them as argparse did, with argparse's error texts: flags in any order before
+the command, the last one winning, ``--flag=value``, unique prefixes of a
+flag, negative numbers as values, and ``--`` before positionals.  ``_help``
+builds from them the text argparse printed for ``--help`` at 80 columns; its
+description is the first two paragraphs of this docstring.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import checks
 from .characters import ch_expr
@@ -54,9 +63,11 @@ class _UsageError(Exception):
     pass
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+class _Help(Exception):
+    """``-h`` or ``--help`` was read after ``command`` (None: before any)."""
+
+    def __init__(self, command):
+        self.command = command
 
 
 class _Output:
@@ -73,7 +84,7 @@ class _Call:
 
     __slots__ = ("args", "params", "op")
 
-    def __init__(self, args: argparse.Namespace):
+    def __init__(self, args: SimpleNamespace):
         self.args = args
         self.params = Params(args.p)
         self.op = None if args.m is None else OrbifoldParams(args.p, args.m)
@@ -252,12 +263,31 @@ def _check(call: _Call) -> _Output:
     )
 
 
-_EXPR = (("x", {}),)
-_EXPR_PAIR = (("x", {}), ("y", {}))
-_LABEL = (("r", {"type": int}), ("s", {"type": int}))
+# An argument is a row (name, value, default, help).  A name that starts with
+# "-" is a flag, any other a positional; a value is str, int or a tuple of
+# choices; an argument whose default is _REQUIRED must be given.
+_REQUIRED = object()
+_EXPR = (("x", str, _REQUIRED, None),)
+_EXPR_PAIR = _EXPR + (("y", str, _REQUIRED, None),)
+_LABEL = (("r", int, _REQUIRED, None), ("s", int, _REQUIRED, None))
 
-# Subcommand -> (help text, add_argument calls, handler), in the order that
+# The global flags, which come before the subcommand, in the order that
 # ``--help`` lists them.
+_FLAGS = (
+    ("--p", int, _REQUIRED, "singlet parameter p >= 2"),
+    ("--m", int, None, "cyclic orbifold order m >= 1"),
+    ("--format", ("text", "json"), "text", None),
+    (
+        "--order",
+        int,
+        None,
+        f"character truncation order (default: $SINGLET_ORDER or {_DEFAULT_ORDER}; "
+        f"{_CHECK_ORDER} under check, which does not read $SINGLET_ORDER)",
+    ),
+)
+
+# Subcommand -> (help text, arguments, handler), in the order that ``--help``
+# lists them.
 _COMMANDS = {
     "fuse": ("tensor product of two expressions", _EXPR_PAIR, _fuse),
     "dual": ("termwise contragredient of an expression", _EXPR, _dual),
@@ -274,30 +304,196 @@ _COMMANDS = {
     "orbfuse": ("tensor product of two orbifold expressions (needs --m)", _EXPR_PAIR, _orbfuse),
     "check": (
         "run built-in verification suites",
-        (("--suite", {"choices": checks.SUITE_NAMES + ("all",), "default": "all"}),),
+        (("--suite", checks.SUITE_NAMES + ("all",), "all", None),),
         _check,
     ),
 }
 
 
-def build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="singlet", description=__doc__)
-    parser.add_argument("--p", type=int, required=True, help="singlet parameter p >= 2")
-    parser.add_argument("--m", type=int, default=None, help="cyclic orbifold order m >= 1")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument(
-        "--order",
-        type=int,
-        default=None,
-        help=f"character truncation order (default: $SINGLET_ORDER or {_DEFAULT_ORDER}; "
-        f"{_CHECK_ORDER} under check, which does not read $SINGLET_ORDER)",
-    )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name, (help_text, arguments, _) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
-        for flag, options in arguments:
-            cmd.add_argument(flag, **options)
-    return parser
+def _option(arg: str, flags):
+    """What ``arg`` is among ``flags`` (which start with -h and --help): None
+    for a positional, ``(flag, text after "=" or None)`` for a flag or a
+    unique prefix of one, ``("", None)`` for an unknown option.  A negative
+    number, and a text with a space, is a positional."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in flags:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in flags:
+        return name, value
+    if arg[1] == "-":
+        matches = [flag for flag in flags if flag.startswith(name)]
+        value = value if eq else None
+    else:  # -h run together with what follows it
+        matches, value = (["-h"], arg[2:]) if arg[1] == "h" else ([], None)
+    if len(matches) > 1:
+        raise _UsageError(f"ambiguous option: {arg} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    if re.match(r"-\d+$|-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return "", None
+
+
+def _value(name: str, kind, text: str):
+    """``text`` read as argument ``name``, whose value ``kind`` is str, int or
+    a collection of choices."""
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise _UsageError(f"argument {name}: invalid int value: {text!r}") from None
+    if kind is not str and text not in kind:
+        choices = ", ".join(map(repr, kind))
+        raise _UsageError(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+def _read(args: list, rows, values: dict, extras: list, command=None) -> int:
+    """Read ``args`` by the argument ``rows`` into ``values``, as argparse
+    did, and append to ``extras`` what no row takes.  At the top level
+    (``command`` None) the first positional is the subcommand: its index is
+    returned, or ``len(args)`` if there is none."""
+    flags, spec, pending = ["-h", "--help"], {}, []
+    for row in rows:
+        name, kind, default, _ = row
+        if name[0] == "-":
+            flags.append(name)
+            spec[name] = kind
+        else:
+            pending.append((name, kind))
+        if default is not _REQUIRED:
+            values[name] = default
+    # Every token is classified before any is read, so an ambiguous prefix is
+    # the first error.  After the first "--" every token is a positional;
+    # ("--", None) also stands for the end of ``args``.
+    end = args.index("--") if "--" in args else len(args)
+    kinds = [_option(arg, flags) for arg in args[:end]]
+    kinds += [("--", None)] + [None] * (len(args) - end - 1)
+    i, taken = 0, False
+    while i < len(args):
+        arg, kind = args[i], kinds[i]
+        after_positional, taken = taken, False
+        if command is None and (kind is None or kind[0] == "--" and i + 1 < len(args)):
+            return i  # the subcommand; a "--" in its place is read as one
+        if kind is None:
+            if pending:
+                name, value_kind = pending.pop(0)
+                values[name] = _value(name, value_kind, arg)
+                taken = True
+            else:
+                extras.append(arg)
+        elif not kind[0]:  # an unknown option
+            extras.append(arg)
+        elif kind[0] == "--":
+            # A positional swallows the "--" next to it.
+            if command is None or not (after_positional or pending and i + 1 < len(args)):
+                extras.append(arg)
+        elif kind[0] in ("-h", "--help"):
+            flag, value = kind
+            if flag == "-h" and value:  # -hh asks twice, -hx gives help a value
+                value = value.lstrip("h") or None
+            if value is not None:
+                raise _UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+            raise _Help(command)
+        else:
+            flag, value = kind
+            if value is None:
+                if kinds[i + 1] is not None:
+                    raise _UsageError(f"argument {flag}: expected one argument")
+                i += 1
+                value = args[i]
+            values[flag] = _value(flag, spec[flag], value)
+        i += 1
+    return len(args)
+
+
+def _require(rows, values: dict):
+    missing = [row[0] for row in rows if row[2] is _REQUIRED and row[0] not in values]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+
+
+def _parse(argv) -> SimpleNamespace:
+    """The command line ``argv``: the global flags, ``command`` (None if
+    there is none) and the subcommand's arguments, by name."""
+    args, values, extras = list(argv), {"command": None}, []
+    at = _read(args, _FLAGS, values, extras)
+    if at < len(args):
+        command = values["command"] = _value("COMMAND", _COMMANDS, args[at])
+        rows = _COMMANDS[command][1]
+        _read(args[at + 1 :], rows, values, extras, command)
+        _require(rows, values)
+    _require(_FLAGS, values)
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**{name.lstrip("-"): value for name, value in values.items()})
+
+
+def _help(command=None) -> str:
+    """What argparse printed for ``--help`` of ``command`` (None: of the
+    program) at 80 columns."""
+    import textwrap
+
+    if command is None:
+        prog, rows = "singlet", _FLAGS
+        positionals = [("COMMAND", None, 2)] + [(name, entry[0], 4) for name, entry in _COMMANDS.items()]
+        pos_parts = ["COMMAND", "..."]
+    else:
+        prog, rows = f"singlet {command}", _COMMANDS[command][1]
+        positionals, pos_parts = [], []
+    opt_parts, options = ["[-h]"], [("-h, --help", "show this help message and exit", 2)]
+    for name, kind, default, help_text in rows:
+        if isinstance(kind, tuple):
+            metavar = "{%s}" % ",".join(kind)
+        else:
+            metavar = name.lstrip("-").upper() if name[0] == "-" else name
+        if name[0] == "-":
+            options.append((f"{name} {metavar}", help_text, 2))
+            opt_parts += [name, metavar] if default is _REQUIRED else [f"[{name} {metavar}]"]
+        else:
+            positionals.append((metavar, help_text, 2))
+            pos_parts.append(metavar)
+
+    usage = " ".join([prog] + opt_parts + pos_parts)
+    if len("usage: " + usage) > 78:  # flags after the program, then the positionals
+        indent = " " * len(f"usage: {prog} ")
+
+        def wrap_usage(parts, length):
+            out, line = [], []
+            for part in parts:
+                if line and length + 1 + len(part) > 78:
+                    out.append(indent + " ".join(line))
+                    line, length = [], len(indent) - 1
+                line.append(part)
+                length += len(part) + 1
+            return out + [indent + " ".join(line)] if line else out
+
+        usage = "\n".join(wrap_usage([prog] + opt_parts, 6) + wrap_usage(pos_parts, len(indent) - 1))
+        usage = usage[len(indent) :]
+
+    column = min(max(len(item[0]) for item in positionals + options) + 4, 24)
+
+    def entry(invocation, help_text, indent):
+        if not help_text:
+            return " " * indent + invocation + "\n"
+        lines = textwrap.wrap(" ".join(help_text.split()), 78 - column)
+        width = column - indent - 2
+        if len(invocation) <= width:
+            head = " " * indent + invocation.ljust(width) + "  "
+        else:
+            head = " " * indent + invocation + "\n" + " " * column
+        return head + lines[0] + "\n" + "".join(" " * column + line + "\n" for line in lines[1:])
+
+    blocks = [f"usage: {usage}\n"]
+    description = "\n\n".join((__doc__ or "").split("\n\n")[:2])
+    if command is None and description:
+        blocks.append(textwrap.fill(" ".join(description.split()), 78) + "\n")
+    if positionals:
+        blocks.append("positional arguments:\n" + "".join(entry(*item) for item in positionals))
+    blocks.append("options:\n" + "".join(entry(*item) for item in options))
+    return "\n".join(blocks)
 
 
 def _render(output: _Output, as_json: bool) -> tuple[str, int]:
@@ -316,14 +512,14 @@ def run_command(args) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+    except _Help as exc:
+        print(_help(exc.command), end="")
+        return 0
     try:
         output, code = run_command(args)
     except (_UsageError, SingletError) as exc:

@@ -326,6 +326,72 @@ _COMMAND_CHOICES = (
 )
 _SUITE_CHOICES = ", ".join(repr(name) for name in SUITE_NAMES + ("all",))
 
+# What Python 3.11's argparse printed for --help at 80 columns.
+_HELP = """\
+usage: singlet [-h] --p P [--m M] [--format {text,json}] [--order ORDER]
+               COMMAND ...
+
+Command-line front end. Global flags select the algebra (``--p``, optional
+``--m``), the output format, and the character truncation order; subcommands
+dispatch to the library. Exit codes: 0 success, 1 user error (bad flags,
+syntax/semantic errors, domain errors, failing check suites), 2 internal
+invariant violation. JSON output is canonical and byte-stable across runs.
+
+positional arguments:
+  COMMAND
+    fuse                tensor product of two expressions
+    dual                termwise contragredient of an expression
+    kclass              composition factors as a Grothendieck class
+    factors             composition factors of the generalized Verma quotient
+    loewy               socle series of a single indecomposable
+    char                truncated graded character of an expression
+    grade               monodromy grading (coordinate mod 2) per summand
+    twist               ribbon twist exponent per simple summand
+    monodromy           monodromy exponent against the order-two current
+    verma               structure report of the generalized Verma quotient
+    induce              orbifold induction of a local expression (needs --m)
+    simples             list the simple orbifold modules (needs --m)
+    orbfuse             tensor product of two orbifold expressions (needs --m)
+    check               run built-in verification suites
+
+options:
+  -h, --help            show this help message and exit
+  --p P                 singlet parameter p >= 2
+  --m M                 cyclic orbifold order m >= 1
+  --format {text,json}
+  --order ORDER         character truncation order (default: $SINGLET_ORDER or
+                        20; 40 under check, which does not read
+                        $SINGLET_ORDER)
+"""
+
+_CHECK_HELP = """\
+usage: singlet check [-h]
+                     [--suite {associativity,kring,duality,grading,characters,oracle,orbifold,all}]
+
+options:
+  -h, --help            show this help message and exit
+  --suite {associativity,kring,duality,grading,characters,oracle,orbifold,all}
+"""
+
+_POSITIONALS = {
+    "fuse": "x y", "dual": "x", "kclass": "x", "factors": "r s", "loewy": "x", "char": "x",
+    "grade": "x", "twist": "x", "monodromy": "x", "verma": "r s", "induce": "x", "simples": "",
+    "orbfuse": "x y",
+}
+
+
+def _command_help(name):
+    if name == "check":
+        return _CHECK_HELP
+    positionals = _POSITIONALS[name].split()
+    listing = "".join(f"\n  {p}" for p in positionals)
+    return (
+        f"usage: singlet {name} [-h]{''.join(' ' + p for p in positionals)}\n\n"
+        + (f"positional arguments:{listing}\n\n" if positionals else "")
+        + "options:\n  -h, --help  show this help message and exit\n"
+    )
+
+
 # argv -> (exit code, stdout, stderr): how the command line is read, apart
 # from what the commands compute.  The error texts are argparse's.
 CLI_SURFACE = [
@@ -383,6 +449,22 @@ CLI_SURFACE = [
     (["--p", "2", "fuse", "--", "M(1,2)", "M(1,2)"], 0, "P(1,1)\n", ""),
     (["--p", "2", "fuse", "M(1,2)", "--", "M(1,2)"], 0, "P(1,1)\n", ""),
     (["--p", "2", "fuse", "--", "-M(1,2)", "M(1,2)"], 1, "", "error: expected an integer (at byte 0)\n"),
+    # Help, whatever else is on the line, and whether --p is given or not.
+    (["--help"], 0, _HELP, ""),
+    (["-h", "--p", "x"], 0, _HELP, ""),
+    (["--p", "2", "--he"], 0, _HELP, ""),
+    (["--p", "x", "-h"], 1, "", "error: argument --p: invalid int value: 'x'\n"),
+    (["-hx"], 1, "", "error: argument -h/--help: ignored explicit argument 'x'\n"),
+    (["--help="], 1, "", "error: argument -h/--help: ignored explicit argument ''\n"),
+    (["--p", "2", "fuse", "a", "-h", "b", "c"], 0, _command_help("fuse"), ""),
+    (["verma", "x", "-h"], 1, "", "error: argument r: invalid int value: 'x'\n"),
+    *[([name, "--help"], 0, _command_help(name), "") for name in (*_POSITIONALS, "check")],
+    (
+        ["--p", "2", "check", "--=x"],
+        1,
+        "",
+        "error: ambiguous option: --=x could match --help, --p, --m, --format, --order\n",
+    ),
     (["--p", "2", "fuse", "-M(1,2)", "M(1,2)", "M(1,2)"], 1, "", "error: unrecognized arguments: -M(1,2)\n"),
     (["--p", "2", "check", "--"], 1, "", "error: unrecognized arguments: --\n"),
     (["--p", "--", "2", "simples"], 1, "", "error: argument --p: expected one argument\n"),
@@ -419,15 +501,17 @@ def test_cli_help_exits_zero():
     ) in " ".join(out.split())
 
 
-def _loaded_by_cli_import(*names):
+def _loaded_by_cli_import(*names, argv=None):
+    """Which of ``names`` are loaded after ``import singlet.cli`` and, given
+    ``argv``, one ``main(argv)``."""
     # -S keeps site hooks, which may import anything, out of the picture.
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import singlet.cli; "
-        f"print(*[name for name in {names!r} if name in sys.modules])"
-    )
+    code = f"import sys; sys.path.insert(0, {src!r}); import singlet.cli; "
+    if argv is not None:
+        code += f"singlet.cli.main({argv!r}); "
+    code += f"print('loaded:', *[name for name in {names!r} if name in sys.modules])"
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
-    return out.stdout.split()
+    return out.stdout.splitlines()[-1].split()[1:]
 
 
 def test_cli_import_leaves_typing_and_string_unloaded():
@@ -437,3 +521,16 @@ def test_cli_import_leaves_typing_and_string_unloaded():
 def test_cli_import_leaves_dataclasses_and_threading_unloaded():
     # dataclasses pulls in inspect, ast, dis and tokenize.
     assert _loaded_by_cli_import("dataclasses", "inspect", "ast", "dis", "tokenize", "threading") == []
+
+
+def test_cli_call_leaves_argparse_and_shutil_unloaded():
+    # argparse builds a HelpFormatter for each parser, which imports shutil
+    # (and with it bz2, lzma and fnmatch); gettext and locale come with it.
+    names = ("argparse", "shutil", "gettext", "locale", "textwrap")
+    assert _loaded_by_cli_import(*names, argv=["--p", "2", "fuse", "M(1,2)", "P(1,1)"]) == []
+    assert _loaded_by_cli_import(*names, argv=["--p", "2", "fuse", "M(1,2)"]) == []
+
+
+def test_cli_help_ignores_the_terminal_width(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "40")
+    assert run_cli("--help") == (0, _HELP, "")
