@@ -318,7 +318,10 @@ class ModuleExpr:
         return " + ".join(parts)
 
     def __repr__(self):
-        return f"ModuleExpr({self})"
+        try:
+            return f"ModuleExpr({self})"
+        except DomainError:  # a hand-built sum that holds a non-label
+            return f"ModuleExpr({self._terms!r})"
 
     def to_json(self) -> list:
         """Canonical serialization: sorted list of term objects."""

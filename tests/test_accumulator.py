@@ -163,5 +163,15 @@ OPERANDS = {
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_a_non_label_operand_is_a_domain_error(name, operand):
     x, bad = OPERANDS[operand]
+    if name == "ch_indec":  # it takes one label, so a sum is itself the non-label
+        bad = x
     with pytest.raises(DomainError, match=re.escape(f"module label: {bad!r}")):
         ENTRY_POINTS[name](x)
+
+
+def test_repr_of_a_sum_that_holds_a_non_label_shows_its_terms():
+    held = ModuleExpr.of(MSimple(1, 1), "x")
+    assert repr(held) == "ModuleExpr({MSimple(r=1, s=1): 1, 'x': 1})"
+    assert repr(ModuleExpr.of(MSimple(1, 1), MSimple(1, 1))) == "ModuleExpr(2*M(1,1))"
+    with pytest.raises(DomainError, match=re.escape(f"not a module label: {held!r}")):
+        ch_indec(P2, held, 3)
