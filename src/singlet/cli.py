@@ -356,8 +356,7 @@ def _read(args: list, rows, values: dict, extras: list, command=None) -> int:
     (``command`` None) the first positional is the subcommand: its index is
     returned, or ``len(args)`` if there is none."""
     flags, spec, pending = ["-h", "--help"], {}, []
-    for row in rows:
-        name, kind, default, _ = row
+    for name, kind, default, _ in rows:
         if name[0] == "-":
             flags.append(name)
             spec[name] = kind

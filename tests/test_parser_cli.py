@@ -392,6 +392,10 @@ def _command_help(name):
     )
 
 
+_VERMA_AT_P3 = "G(-2,1): factors = M(-3,2) + M(-2,1); layers = M(-2,1) | M(-3,2); h0 = 39/4\n"
+_INDUCED_JSON = '[{"species":"V","q":"1/2","mult":1}]\n'
+_KRING_PASS = "kring: 441 cases, 0 failures\nPASS\n"
+
 # argv -> (exit code, stdout, stderr): how the command line is read, apart
 # from what the commands compute.  The error texts are argparse's.
 CLI_SURFACE = [
@@ -435,17 +439,16 @@ CLI_SURFACE = [
     # Accepted forms: flags in any order before the command, the last one
     # winning; --flag=value; unique prefixes; negative ints as values; "--".
     (["--p", "2", "fuse", "M(1,2)", "M(1,2)"], 0, "P(1,1)\n", ""),
-    (["--p", "2", "--p", "3", "verma", "-2", "1"], 0, "G(-2,1): factors = M(-3,2) + M(-2,1); "
-     "layers = M(-2,1) | M(-3,2); h0 = 39/4\n", ""),
-    (["--m", "2", "--format=json", "--p", "2", "induce", "F(1/2)"], 0, '[{"species":"V","q":"1/2","mult":1}]\n', ""),
+    (["--p", "2", "--p", "3", "verma", "-2", "1"], 0, _VERMA_AT_P3, ""),
+    (["--m", "2", "--format=json", "--p", "2", "induce", "F(1/2)"], 0, _INDUCED_JSON, ""),
     (["--fo", "json", "--p=2", "--format", "text", "fuse", "M(1,2)", "M(1,2)"], 0, "P(1,1)\n", ""),
     (["--p", "2", "--o", "3", "char", "M(1,1)"], 0, "q^(0) * [1, 0, 1, 2]\n", ""),
     (["--p", "2", "--ord=3", "char", "M(1,1)"], 0, "q^(0) * [1, 0, 1, 2]\n", ""),
     (["--p", "2", "--order", "-1", "char", "M(1,1)"], 1, "", "error: truncation order must be >= 0, got -1\n"),
     (["--p", "2", "factors", "-1", "1"], 0, "M(-2,1) + M(-1,1)\n", ""),
-    (["--p", "2", "check", "--s", "kring"], 0, "kring: 441 cases, 0 failures\nPASS\n", ""),
-    (["--p", "2", "check", "--su=kring"], 0, "kring: 441 cases, 0 failures\nPASS\n", ""),
-    (["--p", "2", "check", "--suite", "grading", "--suite", "kring"], 0, "kring: 441 cases, 0 failures\nPASS\n", ""),
+    (["--p", "2", "check", "--s", "kring"], 0, _KRING_PASS, ""),
+    (["--p", "2", "check", "--su=kring"], 0, _KRING_PASS, ""),
+    (["--p", "2", "check", "--suite", "grading", "--suite", "kring"], 0, _KRING_PASS, ""),
     (["--p", "2", "fuse", "--", "M(1,2)", "M(1,2)"], 0, "P(1,1)\n", ""),
     (["--p", "2", "fuse", "M(1,2)", "--", "M(1,2)"], 0, "P(1,1)\n", ""),
     (["--p", "2", "fuse", "--", "-M(1,2)", "M(1,2)"], 1, "", "error: expected an integer (at byte 0)\n"),
