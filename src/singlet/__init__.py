@@ -9,8 +9,6 @@ from .characters import (
     ch_expr,
     ch_indec,
     ch_vir_irr,
-    check_character_identity,
-    eta_inv_series,
     partition_numbers,
 )
 from .errors import (
@@ -73,12 +71,9 @@ from .weights import (
     UnitPhase,
     Weight,
     allowed_neighbor_weights,
-    alpha_coord,
     conformal_weight,
-    contragredient_weight,
     h0_squared,
     h_rs,
-    is_typical,
 )
 
 __version__ = "0.1.0"

@@ -29,11 +29,9 @@ __all__ = [
     "QSeries",
     "CharacterSum",
     "partition_numbers",
-    "eta_inv_series",
     "ch_vir_irr",
     "ch_indec",
     "ch_expr",
-    "check_character_identity",
 ]
 
 _partitions = [1]
@@ -146,13 +144,6 @@ class CharacterSum:
         }
 
 
-def eta_inv_series(n: int) -> QSeries:
-    """The partition generating series to order n (Verma graded dimension)."""
-    if n < 0:
-        raise DomainError(f"truncation order must be >= 0, got {n}")
-    return QSeries(Fraction(0), partition_numbers(n))
-
-
 def _times_partitions(numerator: dict, n: int) -> list:
     """Coefficients 0..n of sum_o c_o q^o / prod_k (1 - q^k).
 
@@ -244,8 +235,3 @@ def ch_indec(params: Params, atom, n: int) -> CharacterSum:
     """Character of a single indecomposable."""
     return ch_expr(params, ModuleExpr.of(as_label(atom)), n)
 
-
-def check_character_identity(params: Params, lhs, rhs, n: int) -> bool:
-    """True iff both expressions have identical characters to order n on
-    every coset."""
-    return ch_expr(params, lhs, n) == ch_expr(params, rhs, n)

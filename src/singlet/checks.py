@@ -11,10 +11,13 @@ from fractions import Fraction
 
 from . import fusion, modules, orbifold
 from .characters import QSeries, ch_expr, ch_indec, ch_vir_irr, partition_numbers
+from .errors import DomainError
 from .modules import FockAtypical, FockTypical, GenVerma, ModuleExpr, MSimple, Proj, label
 from .weights import Params, Weight, allowed_neighbor_weights, conformal_weight, h_rs
 
 __all__ = ["SUITE_NAMES", "SuiteResult", "universe", "run_suite", "run_suites"]
+
+_DEFAULT_ORDER = 40  # the character truncation order of the suites
 
 class SuiteResult:
     """The name of a suite, its number of cases and the text of each
@@ -294,25 +297,25 @@ def _suite_orbifold(params: Params, m: int) -> SuiteResult:
             lhs = orbifold.induce(op, fusion.fuse(params, x, y))
             rhs = orbifold.orbifold_fuse(op, ix, orbifold.induce(op, ModuleExpr.of(y)))
             res.check(lhs == rhs, "induction functoriality failed at {}, {}", x, y)
+    # A cover's middle layer, J x W(r,p-s) + J^-1 x W(r,p-s) for J = W(2,1),
+    # comes from orbifold_fuse, not from the socle series (at m = 1, J = J^-1).
+    currents = ModuleExpr.of(orbifold.w_simple(op, 2, 1), orbifold.w_simple(op, 0, 1))
     for r in range(op.r_modulus):
         for s in range(1, p + 1):
-            cover, layers = orbifold.orbifold_projective_cover(op, orbifold.WSimple(r, s))
+            w = orbifold.WSimple(r, s)
+            cover, layers = orbifold.orbifold_projective_cover(op, w)
             if s == p:
                 res.check(
-                    cover == orbifold.WSimple(r, s) and layers == [[cover]],
+                    cover == w and layers == [[cover]],
                     f"simple projective column failed at W({r},{s})",
                 )
                 continue
-            induced = [
-                sorted(
-                    (orbifold.w_simple(op, a.r, a.s) for a in layer),
-                    key=modules.sort_key,
-                )
-                for layer in modules.loewy_layers(params, Proj(r, s))
-            ]
+            x = orbifold.WSimple(r, p - s)
+            middle = orbifold.orbifold_fuse(op, currents, x).terms()
             res.check(
-                cover == orbifold.RProj(r, s) and layers == induced,
-                f"cover layers differ from induced layers at W({r},{s})",
+                cover == orbifold.RProj(r, s)
+                and layers == [[w], [a for a, n in middle for _ in range(n)], [w]],
+                "cover layers differ from J x {} + J^-1 x {} at {}", x, x, w,
             )
     # The first 2p W labels and the first 2p V labels (none at m = 1): W
     # sorts first and there are 2pm of them, so a plain prefix holds no V.
@@ -347,14 +350,15 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, params: Params, m: int | None = None, order: int = 40) -> list[SuiteResult]:
+def run_suite(
+    name: str, params: Params, m: int | None = None, order: int = _DEFAULT_ORDER
+) -> list[SuiteResult]:
     if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}")
+        raise DomainError(f"unknown suite {name!r}")
     return _SUITES[name](params, m, order)
 
 
-def run_suites(names, params: Params, m: int | None = None, order: int = 40) -> list[SuiteResult]:
-    out = []
-    for name in names:
-        out.extend(run_suite(name, params, m=m, order=order))
-    return out
+def run_suites(
+    names, params: Params, m: int | None = None, order: int = _DEFAULT_ORDER
+) -> list[SuiteResult]:
+    return [res for name in names for res in run_suite(name, params, m=m, order=order)]

@@ -18,7 +18,6 @@ description is the first two paragraphs of this docstring.
 from __future__ import annotations
 
 import json
-import os
 import re
 import sys
 from types import SimpleNamespace
@@ -56,7 +55,6 @@ from .weights import Params
 __all__ = ["main", "run_command"]
 
 _DEFAULT_ORDER = 20
-_CHECK_ORDER = 40
 
 
 class _UsageError(Exception):
@@ -106,23 +104,12 @@ class _Call:
         return expr
 
 
-def _checked_order(order: int) -> int:
-    if order < 0:
-        raise SingletError(f"truncation order must be >= 0, got {order}")
-    return order
-
-
-def _char_order(args) -> int:
-    order = args.order
-    if order is None:
-        raw = os.environ.get("SINGLET_ORDER")
-        if raw is None:
-            return _DEFAULT_ORDER
-        try:
-            order = int(raw)
-        except ValueError:
-            raise SingletError(f"SINGLET_ORDER must be an integer, got {raw!r}") from None
-    return _checked_order(order)
+def _order(args, default: int) -> int:
+    if args.order is None:
+        return default
+    if args.order < 0:
+        raise SingletError(f"truncation order must be >= 0, got {args.order}")
+    return args.order
 
 
 def _expr(expr: ModuleExpr) -> _Output:
@@ -193,7 +180,7 @@ def _loewy(call: _Call) -> _Output:
 
 
 def _char(call: _Call) -> _Output:
-    order = _char_order(call.args)
+    order = _order(call.args, _DEFAULT_ORDER)
     expr = call.parse(call.args.x)
     if is_orbifold_expr(expr):
         result = orbifold_char_expr(call.orbifold(), expr, order)
@@ -248,7 +235,7 @@ def _orbfuse(call: _Call) -> _Output:
 
 def _check(call: _Call) -> _Output:
     args = call.args
-    order = _CHECK_ORDER if args.order is None else _checked_order(args.order)
+    order = _order(args, checks._DEFAULT_ORDER)
     names = checks.SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = checks.run_suites(names, call.params, m=args.m, order=order)
     ok = all(r.ok for r in results)
@@ -281,8 +268,7 @@ _FLAGS = (
         "--order",
         int,
         None,
-        f"character truncation order (default: $SINGLET_ORDER or {_DEFAULT_ORDER}; "
-        f"{_CHECK_ORDER} under check, which does not read $SINGLET_ORDER)",
+        f"character truncation order (default: {_DEFAULT_ORDER}; {checks._DEFAULT_ORDER} under check)",
     ),
 )
 

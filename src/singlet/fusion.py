@@ -48,6 +48,7 @@ from .modules import (
     MSimple,
     Proj,
     _check_s,
+    _layers,
     as_expr,
     as_label,
     k_class,
@@ -185,13 +186,13 @@ def k_product(params: Params, a, b) -> ModuleExpr:
 def projective_decompose(params: Params, k) -> ModuleExpr:
     """Invert the K-class map on direct sums of indecomposable projectives.
 
-    Typical and s = p labels are read off directly.  For s < p, the class
-    2 M(r,s) + M(r-1,p-s) + M(r+1,p-s) of P(r,s) has the largest label
-    M(r+1,p-s) in (r, s) order, and no other projective has that largest
-    label.  So the remaining labels are peeled from the top down: the count
-    c of the largest remaining label M(r,s) fixes c P(r-1,p-s), whose class
-    is subtracted, which clears M(r,s) itself.  A count that would go
-    negative raises NotProjectiveClass.
+    Typical and s = p labels are read off directly.  For s < p, the largest
+    label of the class of P(r,s) in (r, s) order is M(r+1,p-s), and no other
+    projective has that largest label.  So the remaining labels are peeled
+    from the top down: the count c of the largest remaining label M(r,s)
+    fixes c P(r-1,p-s), and c times its class is subtracted, read from
+    ``modules._layers`` as ``k_class`` reads it (a ``k_class`` call per step
+    doubled the peel's time).  A negative count raises NotProjectiveClass.
     """
     p = params.p
     out: list = []
@@ -208,12 +209,13 @@ def projective_decompose(params: Params, k) -> ModuleExpr:
         c = rest[r, s]
         if not c:
             continue
-        out.append((Proj(r - 1, p - s), c))
-        for key, n in (((r, s), c), ((r - 1, p - s), 2 * c), ((r - 2, s), c)):
-            left = rest.get(key, 0) - n
+        cover = Proj(r - 1, p - s)
+        out.append((cover, c))
+        for f in chain.from_iterable(_layers(p, cover)):
+            left = rest.get((f.r, f.s), 0) - c
             if left < 0:
                 raise NotProjectiveClass("no nonnegative integer projective decomposition")
-            rest[key] = left
+            rest[f.r, f.s] = left
     return ModuleExpr.combine((mult, ModuleExpr.of(atom)) for atom, mult in out)
 
 

@@ -20,7 +20,8 @@ compares the (numerator, denominator) ints of q and caches its hash.
 conventions collapse both to ``MSimple(r, p)`` in :func:`normalize_atom` only.
 The socle series of each species, the Verma socle cases included, is stated
 once, in ``_layers``; K-classes, Loewy layers, lowest weights, Verma
-factors and the test of simplicity in :func:`twist_phase` read it.
+factors and the test of simplicity in :func:`twist_phase` read it, and so
+do the peel of projective classes and the orbifold covers, through them.
 
 A :class:`ModuleExpr` is a finite multiset of labels with positive integer
 multiplicities.  K-classes (multisets of composition factors) reuse the same
@@ -29,8 +30,8 @@ container, restricted to simple species.
 :meth:`ModuleExpr.combine` is the one way to accumulate a direct sum, and
 :meth:`ModuleExpr.expand` the one way to extend a rule on labels over one:
 of several bad terms, the first in canonical order is reported.  The results
-of ``combine``, ``+``, ``*``, ``subtract`` and ``expand`` are valid by
-construction; ``ModuleExpr(...)`` validates every multiplicity it is given.
+of ``combine``, ``+``, ``*`` and ``expand`` are valid by construction;
+``ModuleExpr(...)`` validates every multiplicity it is given.
 """
 
 from __future__ import annotations
@@ -279,19 +280,6 @@ class ModuleExpr:
         return ModuleExpr.combine(((n, self),))
 
     __mul__ = __rmul__
-
-    def subtract(self, other: "ModuleExpr") -> "ModuleExpr":
-        """Exact multiset difference; ValueError if any count would go negative."""
-        out = dict(self._terms)
-        for atom, mult in other._terms.items():
-            left = out.get(atom, 0) - mult
-            if left < 0:
-                raise ValueError(f"multiset subtraction went negative at {label(atom)}")
-            if left:
-                out[atom] = left
-            else:
-                out.pop(atom, None)
-        return ModuleExpr._trusted(out)
 
     def expand(self, fn) -> "ModuleExpr":
         """Sum of ``mult * fn(atom)`` over the terms, in dict order, for ``fn``

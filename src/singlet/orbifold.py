@@ -37,6 +37,7 @@ from .modules import (
     as_expr,
     defining_coord,
     label,
+    loewy_layers,
     lowest_weight,
     normalize_atom,
     shift,
@@ -208,19 +209,17 @@ def orbifold_fuse(op: OrbifoldParams, x, y) -> ModuleExpr:
 
 def orbifold_projective_cover(op: OrbifoldParams, w) -> tuple:
     """Projective cover of a simple orbifold module, with its socle series
-    (top first, socle last).  Typical orbits and the s = p column are their
-    own covers."""
+    (top first, socle last).  Induction is exact, so these are the induced
+    singlet cover and its induced layers: P(r,s) for W(r,s), which is M(r,p)
+    at s = p, and F(q) itself for V(q)."""
     atom = normalize_orbifold_atom(op, w)
-    if isinstance(atom, VTypical) or atom.s == op.p:
-        return atom, [[atom]]
     if isinstance(atom, RProj):
         raise DomainError(f"{label(atom)} is not simple")
-    cover = RProj(atom.r, atom.s)
-    middle = sorted(
-        [w_simple(op, atom.r - 1, op.p - atom.s), w_simple(op, atom.r + 1, op.p - atom.s)],
-        key=sort_key,
-    )
-    return cover, [[atom], middle, [atom]]
+    cover = Proj(atom.r, atom.s) if isinstance(atom, WSimple) else lift_atom(op, atom)
+    return _induce_atom(op, cover), [
+        sorted((_induce_atom(op, a) for a in layer), key=sort_key)
+        for layer in loewy_layers(op.singlet, cover)
+    ]
 
 
 def _orbit_lifts(op: OrbifoldParams, atom, depth: int) -> list:

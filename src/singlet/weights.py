@@ -19,11 +19,8 @@ __all__ = [
     "Params",
     "Weight",
     "UnitPhase",
-    "alpha_coord",
     "h_rs",
     "conformal_weight",
-    "is_typical",
-    "contragredient_weight",
     "allowed_neighbor_weights",
     "h0_squared",
 ]
@@ -134,14 +131,6 @@ class UnitPhase(Value):
         return f"UnitPhase({self.exponent})"
 
 
-def alpha_coord(params: Params, r: int, s: int) -> Weight:
-    """Coordinate of alpha_{r,s}: q = p(r-1) - (s-1).
-
-    Periodic under (r, s) -> (r+1, s+p), so callers may normalize s freely.
-    """
-    return Weight(Fraction(params.p * (r - 1) - (s - 1)), params.p)
-
-
 def h_rs(params: Params, r: int, s: int) -> Fraction:
     """Virasoro conformal weight h_{r,s} = ((pr - s)^2 - (p-1)^2) / 4p."""
     p = params.p
@@ -151,20 +140,10 @@ def h_rs(params: Params, r: int, s: int) -> Fraction:
 def conformal_weight(w: Weight) -> Fraction:
     """Lowest conformal weight of the Fock module at ``w``.
 
-    Equals (q^2 + 2q(p-1)) / 4p; for w = alpha_coord(r, s) with r >= 1 this
-    is h_{r,s}.  Satisfies 4p*h + (p-1)^2 = (q+p-1)^2 exactly.
+    Equals (q^2 + 2q(p-1)) / 4p; at q = p(r-1) - (s-1) with r >= 1 this is
+    h_{r,s}.  Satisfies 4p*h + (p-1)^2 = (q+p-1)^2 exactly.
     """
     return Fraction(w.q * w.q + 2 * w.q * (w.p - 1), 4 * w.p)
-
-
-def is_typical(w: Weight) -> bool:
-    """True iff the weight lies off the dual lattice (q not an integer)."""
-    return w.q.denominator != 1
-
-
-def contragredient_weight(w: Weight) -> Weight:
-    """Coordinate of the contragredient Fock module: q' = (2 - 2p) - q."""
-    return Weight(2 - 2 * w.p - w.q, w.p)
 
 
 def allowed_neighbor_weights(w: Weight, kind: str) -> frozenset[Fraction]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -136,7 +135,6 @@ def run(argv: list[str]) -> tuple[int, str, str]:
 
 
 def main() -> int:
-    os.environ.pop("SINGLET_ORDER", None)
     lines = []
     for argv in corpus_argvs():
         code, stdout, stderr = run(argv)

@@ -6,8 +6,9 @@ import hashlib
 
 import pytest
 
-from singlet import checks, fusion, orbifold
-from singlet.checks import SuiteResult, run_suite
+from singlet import checks, fusion, modules, orbifold
+from singlet.checks import SuiteResult, run_suite, run_suites
+from singlet.errors import DomainError
 from singlet.modules import ModuleExpr, MSimple, Proj
 from singlet.weights import Params
 
@@ -56,11 +57,13 @@ EVERY_CASE_FAILING = {
         345,
         "simple count is not 2pm^2 at (p,m)=(2,3)",
         "orbit character window failed at V(5/3)",
-        "6e06225fd1b11f8a76a6360c5cebbaef3100eac63a7b12235a01409c86adb745",
+        "a16b6d96f648c17223554d7cf1b0e9dd85ac030618f182e9e2f81edcc25a6acb",
     ),
 }
 # The orbifold entry was recorded again when its orbit windows came to take
-# V labels: only its last four texts changed.
+# V labels: only its last four texts changed.  It was recorded a third time
+# when its cover case came to derive the middle layer by orbifold_fuse: only
+# the texts of that case changed.
 
 
 @pytest.mark.parametrize("name", checks.SUITE_NAMES)
@@ -127,9 +130,38 @@ def test_a_fault_in_the_v_windows_fails_the_orbifold_suite(monkeypatch, p, m, fa
     assert all(f.startswith("orbit character window failed at V(") for f in res.failures)
 
 
+@pytest.mark.parametrize("m, failures", [(1, 4), (2, 8)])
+def test_a_fault_in_the_projective_socle_fails_the_orbifold_cover_case(
+    monkeypatch, fresh_rows, m, failures
+):
+    # P(r,s)'s middle layer holds M(r+1,s) in place of M(r+1,p-s).  The
+    # orbifold covers are induced from that socle series, and the suite's
+    # cover case derives their middle layer by orbifold_fuse instead, so
+    # every cover case fails.
+    layers = modules._layers
+
+    def wrong(p, atom):
+        out = layers(p, atom)
+        if isinstance(atom, Proj):
+            top, (below, above), socle = out
+            return top, (below, MSimple(above.r, atom.s)), socle
+        return out
+
+    monkeypatch.setattr(modules, "_layers", wrong)
+    [res] = run_suite("orbifold", Params(3), m=m)
+    cover = [f for f in res.failures if f.startswith("cover layers differ from ")]
+    assert len(cover) == failures
+    assert "cover layers differ from J x W(1,2) + J^-1 x W(1,2) at W(1,1)" in cover
+
+
 def test_an_unknown_suite_is_a_value_error():
-    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+    # A DomainError, like every out-of-domain error of the library; it is a
+    # ValueError, so callers that catch ValueError still do.
+    with pytest.raises(DomainError, match="unknown suite 'nope'") as err:
         run_suite("nope", Params(2))
+    assert isinstance(err.value, ValueError)
+    with pytest.raises(DomainError, match="unknown suite 'nope'"):
+        run_suites(["kring", "nope"], Params(2))
 
 
 def test_passing_cases_format_nothing():

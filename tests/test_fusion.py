@@ -182,6 +182,17 @@ def test_k_product_unit(p2):
     assert k_product(p2, unit, x) == x
 
 
+def difference(x, y):
+    """The multiset x - y, or None if some count would go negative."""
+    out = dict(x.items())
+    for atom, mult in y.items():
+        left = out.get(atom, 0) - mult
+        if left < 0:
+            return None
+        out[atom] = left
+    return ModuleExpr(out)
+
+
 def brute_force_decompose(params, target):
     """Exhaustive search over projective multisets supported on the target."""
     p = params.p
@@ -199,9 +210,8 @@ def brute_force_decompose(params, target):
             return chosen
         for i in range(start, len(candidates)):
             cand = candidates[i]
-            try:
-                rest = remaining.subtract(k_class(params, cand))
-            except ValueError:
+            rest = difference(remaining, k_class(params, cand))
+            if rest is None:
                 continue
             found = helper(rest, chosen + ModuleExpr.of(cand), i)
             if found is not None:
@@ -209,7 +219,7 @@ def brute_force_decompose(params, target):
         return None
 
     base = ModuleExpr([(a, target.multiplicity(a)) for a in direct])
-    leftover = target.subtract(k_class(params, base))
+    leftover = difference(target, k_class(params, base))
     solved = helper(leftover, ModuleExpr.zero(), 0)
     return None if solved is None else base + solved
 

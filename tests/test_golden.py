@@ -21,8 +21,7 @@ def test_corpus_size():
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
-def test_golden_cli(case, monkeypatch):
-    monkeypatch.delenv("SINGLET_ORDER", raising=False)
+def test_golden_cli(case):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(case["argv"]))

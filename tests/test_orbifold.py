@@ -15,7 +15,6 @@ from singlet.modules import (
     MSimple,
     Proj,
     k_class,
-    loewy_layers,
     lowest_weight,
     shift,
 )
@@ -235,19 +234,19 @@ def test_a_cover_label_has_no_cover(op22):
 
 
 def test_cover_layers_match_induced_projective(op21, op22):
+    # The cover of W(r,s) is the induced P(r,s).  Its middle layer is
+    # derived here without the socle series it is induced from: it is
+    # J x W(r,p-s) + J^-1 x W(r,p-s) for the simple current J = W(2,1).
     for op in (op21, op22):
-        params = op.singlet
+        currents = ModuleExpr.of(w_simple(op, 2, 1), w_simple(op, 0, 1))
         for r in range(op.r_modulus):
             for s in range(1, op.p):
-                _, layers = orbifold_projective_cover(op, WSimple(r, s))
-                induced = [
-                    sorted(
-                        (w_simple(op, a.r, a.s) for a in layer),
-                        key=lambda a: (a.r, a.s),
-                    )
-                    for layer in loewy_layers(params, Proj(r, s))
-                ]
-                assert layers == induced
+                w = WSimple(r, s)
+                cover, layers = orbifold_projective_cover(op, w)
+                assert induce(op, Proj(r, s)) == ModuleExpr.of(cover)
+                assert layers[0] == layers[2] == [w]
+                middle = orbifold_fuse(op, currents, WSimple(r, op.p - s))
+                assert ModuleExpr.of(*layers[1]) == middle
 
 
 def test_orbifold_char_examples(op21, op22):

@@ -211,15 +211,16 @@ def test_cli_char_json_shape():
     assert json.loads(out) == {"cosets": [{"h0": "5/32", "coeffs": [1, 1, 2, 3]}]}
 
 
-def test_cli_char_env_order(monkeypatch):
+def test_cli_char_ignores_the_environment(monkeypatch):
+    # --order is the one way to set the order: a SINGLET_ORDER variable left
+    # in the environment changes neither char, whose default is 20, nor check.
     monkeypatch.setenv("SINGLET_ORDER", "2")
     code, out, _ = run_cli("--p", "2", "--format", "json", "char", "F(1/2)")
     assert code == 0
-    assert json.loads(out)["cosets"][0]["coeffs"] == [1, 1, 2]
-    monkeypatch.setenv("SINGLET_ORDER", "zebra")
-    code, _, err = run_cli("--p", "2", "char", "F(1/2)")
-    assert code == 1
-    assert "SINGLET_ORDER" in err
+    assert len(json.loads(out)["cosets"][0]["coeffs"]) == 21
+    monkeypatch.setenv("SINGLET_ORDER", "-5")
+    code, out, _ = run_cli("--p", "2", "check", "--suite", "kring")
+    assert (code, out.splitlines()[-1]) == (0, "PASS")
 
 
 def test_cli_orbifold_commands():
@@ -294,16 +295,11 @@ def test_cli_check_suite():
     assert payload["suites"][0]["name"] == "orbifold(m=1)"
 
 
-def test_cli_negative_order_exits_one_for_every_suite(monkeypatch):
-    monkeypatch.delenv("SINGLET_ORDER", raising=False)
+def test_cli_negative_order_exits_one_for_every_suite():
     expected = (1, "", "error: truncation order must be >= 0, got -5\n")
     assert run_cli("--p", "2", "--order", "-5", "char", "M(1,1)") == expected
     for suite in SUITE_NAMES + ("all",):
         assert run_cli("--p", "2", "--order", "-5", "check", "--suite", suite) == expected, suite
-    # check keeps its own default order, 40, and does not read SINGLET_ORDER.
-    monkeypatch.setenv("SINGLET_ORDER", "-5")
-    code, out, _ = run_cli("--p", "2", "check", "--suite", "kring")
-    assert (code, out.splitlines()[-1]) == (0, "PASS")
 
 
 def test_cli_json_byte_stable():
@@ -359,9 +355,8 @@ options:
   --p P                 singlet parameter p >= 2
   --m M                 cyclic orbifold order m >= 1
   --format {text,json}
-  --order ORDER         character truncation order (default: $SINGLET_ORDER or
-                        20; 40 under check, which does not read
-                        $SINGLET_ORDER)
+  --order ORDER         character truncation order (default: 20; 40 under
+                        check)
 """
 
 _CHECK_HELP = """\
@@ -483,8 +478,7 @@ CLI_SURFACE = [
 @pytest.mark.parametrize(
     "argv, code, out, err", CLI_SURFACE, ids=[" ".join(row[0]) or "(none)" for row in CLI_SURFACE]
 )
-def test_cli_surface(argv, code, out, err, monkeypatch):
-    monkeypatch.delenv("SINGLET_ORDER", raising=False)
+def test_cli_surface(argv, code, out, err):
     assert run_cli(*argv) == (code, out, err)
 
 
@@ -499,8 +493,7 @@ def test_cli_help_exits_zero():
     code, out, _ = run_cli("--help")
     assert code == 0
     assert (
-        "--order ORDER character truncation order (default: $SINGLET_ORDER or 20;"
-        " 40 under check, which does not read $SINGLET_ORDER)"
+        "--order ORDER character truncation order (default: 20; 40 under check)"
     ) in " ".join(out.split())
 
 
@@ -529,7 +522,8 @@ def test_cli_import_leaves_dataclasses_and_threading_unloaded():
 def test_cli_call_leaves_argparse_and_shutil_unloaded():
     # argparse builds a HelpFormatter for each parser, which imports shutil
     # (and with it bz2, lzma and fnmatch); gettext and locale come with it.
-    names = ("argparse", "shutil", "gettext", "locale", "textwrap")
+    # No environment variable is read, so os is not loaded either.
+    names = ("argparse", "shutil", "gettext", "locale", "textwrap", "os")
     assert _loaded_by_cli_import(*names, argv=["--p", "2", "fuse", "M(1,2)", "P(1,1)"]) == []
     assert _loaded_by_cli_import(*names, argv=["--p", "2", "fuse", "M(1,2)"]) == []
 

@@ -36,8 +36,7 @@ def test_readme_has_examples():
 
 
 @pytest.mark.parametrize("command, expected", CLI_EXAMPLES, ids=[c for c, _ in CLI_EXAMPLES])
-def test_cli_example(command, expected, monkeypatch):
-    monkeypatch.delenv("SINGLET_ORDER", raising=False)
+def test_cli_example(command, expected):
     program, *argv = shlex.split(command)
     assert program == "singlet"
     out, err = io.StringIO(), io.StringIO()

@@ -50,11 +50,6 @@ def test_module_expr_container():
     assert e.multiplicity(MSimple(1, 1)) == 2
     assert str(e) == "2*M(1,1) + F(1/2)"
     assert e + ModuleExpr.of(F12) == ModuleExpr([(MSimple(1, 1), 2), (F12, 2)])
-    assert e.subtract(ModuleExpr.of(MSimple(1, 1))) == ModuleExpr(
-        [(MSimple(1, 1), 1), (F12, 1)]
-    )
-    with pytest.raises(ValueError):
-        e.subtract(ModuleExpr([(MSimple(2, 1), 1)]))
     assert 0 * e == ModuleExpr.zero()
     assert str(ModuleExpr.zero()) == "0"
 

@@ -36,7 +36,6 @@ CALLS = [
 
 def test_tracer_counts_every_layer():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
-    env.pop("SINGLET_ORDER", None)
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, json.dumps(CALLS)],
         env=env, capture_output=True, text=True, timeout=120, check=True,

@@ -5,25 +5,49 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from singlet.characters import CharacterSum, QSeries
-from singlet.errors import DomainError
-from singlet.fusion import fuse_proj_typical, fuse_simple_typical, fuse_typical_typical
-from singlet.modules import FockTypical, lowest_weight
+from singlet.errors import DomainError, NotTypical
+from singlet.fusion import (
+    _typical_coord,
+    fuse_proj_typical,
+    fuse_simple_typical,
+    fuse_typical_typical,
+)
+from singlet.modules import (
+    FockAtypical,
+    FockTypical,
+    MSimple,
+    defining_coord,
+    dual_atom,
+    lowest_weight,
+    normalize_atom,
+)
 from singlet.orbifold import OrbifoldParams, VTypical, v_typical
 from singlet.weights import (
     Params,
     UnitPhase,
     Weight,
     allowed_neighbor_weights,
-    alpha_coord,
     conformal_weight,
-    contragredient_weight,
     h0_squared,
     h_rs,
-    is_typical,
 )
 
 rationals = st.fractions(max_denominator=40, min_value=-30, max_value=30)
 params_st = st.integers(min_value=2, max_value=7).map(Params)
+
+
+def alpha(params, r, s) -> Weight:
+    """The weight alpha_{r,s}: the defining coordinate of M(r,s)."""
+    return Weight(defining_coord(params, MSimple(r, s)), params.p)
+
+
+def fock(params, q):
+    """The Fock module at coordinate q: F(q) off the integers, else the
+    normalized Fa(r,s) whose defining coordinate p(r-1) - (s-1) is q."""
+    if q.denominator != 1:
+        return FockTypical(q)
+    s = int(-q % params.p) + 1
+    return normalize_atom(params, FockAtypical(int(q + s - 1) // params.p + 1, s))
 
 
 def test_params_validation():
@@ -46,14 +70,14 @@ def test_weight_validates_p(p):
     [(2, 1, 1, 0), (2, 3, 1, 4), (3, 0, 2, -4), (2, 2, 1, 2), (3, 1, 2, -1)],
 )
 def test_alpha_coord(p, r, s, q):
-    assert alpha_coord(Params(p), r, s).q == q
+    assert alpha(Params(p), r, s).q == q
 
 
 def test_alpha_coord_periodicity():
     params = Params(3)
     for r in range(-2, 3):
         for s in range(1, 4):
-            assert alpha_coord(params, r + 1, s + 3).q == alpha_coord(params, r, s).q
+            assert alpha(params, r + 1, s + 3).q == alpha(params, r, s).q
 
 
 @pytest.mark.parametrize(
@@ -85,7 +109,7 @@ def test_typical_lowest_weight_is_the_conformal_weight():
 def test_conformal_weight_matches_kac_table(p3):
     for r in range(1, 5):
         for s in range(1, 4):
-            assert conformal_weight(alpha_coord(p3, r, s)) == h_rs(p3, r, s)
+            assert conformal_weight(alpha(p3, r, s)) == h_rs(p3, r, s)
 
 
 def test_kac_symmetry_with_periodicity(p2, p3):
@@ -94,12 +118,11 @@ def test_kac_symmetry_with_periodicity(p2, p3):
     for params in (p2, p3):
         for r in range(-3, 4):
             for s in range(1, params.p + 1):
-                lhs = conformal_weight(alpha_coord(params, r, s))
-                rhs = conformal_weight(alpha_coord(params, 1 - r, params.p - s))
+                lhs = conformal_weight(alpha(params, r, s))
+                rhs = conformal_weight(alpha(params, 1 - r, params.p - s))
                 assert lhs == rhs
-                assert contragredient_weight(alpha_coord(params, r, s)) == alpha_coord(
-                    params, 1 - r, params.p - s
-                )
+                dual = dual_atom(params, fock(params, alpha(params, r, s).q))
+                assert defining_coord(params, dual) == alpha(params, 1 - r, params.p - s).q
 
 
 @pytest.mark.parametrize(
@@ -107,7 +130,16 @@ def test_kac_symmetry_with_periodicity(p2, p3):
     [(2, Fraction(1, 2), True), (2, 4, False), (5, Fraction(7, 3), True)],
 )
 def test_is_typical(p, q, typical):
-    assert is_typical(Weight(Fraction(q), p)) is typical
+    # A typical coordinate is a non-integral one: FockTypical and the rules'
+    # _typical_coord accept exactly those.
+    q = Fraction(q)
+    if typical:
+        assert FockTypical(q).q == _typical_coord(q) == q
+    else:
+        with pytest.raises(DomainError, match="non-integral"):
+            FockTypical(q)
+        with pytest.raises(NotTypical, match="integral, not typical"):
+            _typical_coord(q)
 
 
 @pytest.mark.parametrize(
@@ -115,8 +147,8 @@ def test_is_typical(p, q, typical):
     [(2, Fraction(1, 2), Fraction(-5, 2)), (2, -1, -1), (3, 0, -4)],
 )
 def test_contragredient(p, q, dual_q):
-    w = Weight(Fraction(q), p)
-    assert contragredient_weight(w).q == dual_q
+    params = Params(p)
+    assert defining_coord(params, dual_atom(params, fock(params, Fraction(q)))) == dual_q
 
 
 @given(params_st, rationals)
@@ -127,11 +159,13 @@ def test_weight_discriminant_identity(params, q):
 
 @given(params_st, rationals)
 def test_contragredient_involution(params, q):
-    w = Weight(q, params.p)
-    back = contragredient_weight(contragredient_weight(w))
-    assert back == w
-    assert conformal_weight(contragredient_weight(w)) == conformal_weight(w)
-    assert is_typical(contragredient_weight(w)) == is_typical(w)
+    x = fock(params, q)
+    dual = dual_atom(params, x)
+    q2 = defining_coord(params, dual)
+    assert q2 == 2 - 2 * params.p - q
+    assert dual_atom(params, dual) == x
+    assert conformal_weight(Weight(q2, params.p)) == conformal_weight(Weight(q, params.p))
+    assert isinstance(dual, FockTypical) == isinstance(x, FockTypical)
 
 
 @pytest.mark.parametrize(
