@@ -96,18 +96,28 @@ def _suite_associativity(params: Params) -> SuiteResult:
     # The triple loop runs on the ids of the fusion table.  singles[i] is
     # x_i as the flat terms (id, 1), and rows[i][j] is the cached product row
     # of x_i and x_j itself, not a copy.  Both sides are {id: mult} sums,
-    # which are equal exactly when the expressions are.
+    # which are equal exactly when the expressions are.  rows[i][j] and
+    # rows[j][i] are one row and product() is symmetric in its operands, so
+    # case (z, y, x) compares the two sums of case (x, y, z), swapped: each
+    # unordered pair {x, z} is compared once per y and the result recorded
+    # under both triples.  The x == z cases still test that symmetry.
     t = fusion.id_table(params)
     singles = [t.ids(x) for x in atoms]
     rows = [[t.row(xs[0], ys[0]) for ys in singles] for xs in singles]
     product = t.product
-    for x, xs, x_rows in zip(atoms, singles, rows):
-        for y, xy, y_rows in zip(atoms, x_rows, rows):
-            for z, zs, yz in zip(atoms, singles, y_rows):
-                res.check(
-                    product(xy, zs) == product(xs, yz),
-                    "associativity failed at {}, {}, {}", x, y, z,
+    n = len(atoms)
+    same = bytearray(n**3)  # same[(a*n + b)*n + c]: case (x_a, x_b, x_c) holds
+    for b, y_rows in enumerate(rows):
+        for a, (xs, xy) in enumerate(zip(singles, y_rows)):
+            for c in range(a, n):
+                same[(a * n + b) * n + c] = same[(c * n + b) * n + a] = (
+                    product(xy, singles[c]) == product(xs, y_rows[c])
                 )
+    for a, x in enumerate(atoms):
+        for b, y in enumerate(atoms):
+            k = (a * n + b) * n
+            for z, ok in zip(atoms, same[k : k + n]):
+                res.check(ok, "associativity failed at {}, {}, {}", x, y, z)
     return res
 
 

@@ -14,8 +14,10 @@ operand a second way, and the ``kring`` suite compares the two.
 flat tuple of ids and multiplicities.  ``_Table.product``
 is the one loop that adds rows: it sums the rows of every pair of terms
 into one ``{id: mult}`` dict.  :func:`fuse` maps its operands to ids,
-calls it and reads the ids back as labels; the ``associativity`` suite
-calls it on the cached rows themselves and compares the dicts.
+calls it and reads the ids back as labels.  ``product`` is symmetric in
+its operands, and the ``associativity`` suite relies on that: it calls it on
+the cached rows themselves, compares the dicts of (x y) z and x (y z) once
+per y and unordered pair {x, z}, and records the result for both orders.
 
 :func:`chebyshev_fuse` is an independent derivation path used as an oracle:
 it reduces every product to the degenerate-field recursion
@@ -122,8 +124,9 @@ def fuse_simple_typical(params: Params, r: int, s: int, q) -> ModuleExpr:
     p = params.p
     _check_s(p, s, "atypical label")
     q = _typical_coord(q)
-    base = q + p * (r - 1) - (s - 1)
-    return ModuleExpr.of(*(FockTypical(base + 2 * l) for l in range(s)))
+    d = q.denominator
+    n0 = q.numerator + (p * (r - 1) - (s - 1)) * d
+    return ModuleExpr.of(*(FockTypical(Fraction(n0 + 2 * l * d, d)) for l in range(s)))
 
 
 def fuse_proj_typical(params: Params, r: int, s: int, q) -> ModuleExpr:
@@ -131,9 +134,12 @@ def fuse_proj_typical(params: Params, r: int, s: int, q) -> ModuleExpr:
     p = params.p
     _check_s(p, s, "projective label", top=p - 1)
     q = _typical_coord(q)
-    qa = q + p * (r - 1) - (s - 1)
-    qb = q + p * (r - 2) - (p - s - 1)
-    return ModuleExpr.of(*(FockTypical(q0 + 2 * l) for l in range(p) for q0 in (qa, qb)))
+    n, d = q.numerator, q.denominator
+    na = n + (p * (r - 1) - (s - 1)) * d
+    nb = n + (p * (r - 2) - (p - s - 1)) * d
+    return ModuleExpr.of(
+        *(FockTypical(Fraction(n0 + 2 * l * d, d)) for l in range(p) for n0 in (na, nb))
+    )
 
 
 def fuse_typical_typical(params: Params, q, q2) -> ModuleExpr:
@@ -146,8 +152,10 @@ def fuse_typical_typical(params: Params, q, q2) -> ModuleExpr:
     q = _typical_coord(q)
     q2 = _typical_coord(q2)
     total = q + q2
-    if total.denominator != 1:
-        return ModuleExpr.of(*(FockTypical(total + 2 * l) for l in range(p)))
+    d = total.denominator
+    if d != 1:
+        n0 = total.numerator
+        return ModuleExpr.of(*(FockTypical(Fraction(n0 + 2 * l * d, d)) for l in range(p)))
     # Solve n = p(r-1) - (s-1) for the unique (r, s) with 1 <= s <= p.
     n = int(total) - (2 - 2 * p)
     r = -(-n // p) + 1
@@ -282,15 +290,20 @@ class _Table:
         they stand for are."""
         acc: dict = {}
         get = acc.get
-        row_of = self.row
         x_terms = iter(xs)
         for i, ma in zip(x_terms, x_terms):
             y_terms = iter(ys)
             for j, mb in zip(y_terms, y_terms):
-                row = iter(row_of(i, j))
+                # self.row(i, j), inlined: this is the innermost loop of
+                # ``fuse`` and of the associativity suite.
+                row = iter(_fuse_atoms(self, i, j) if i <= j else _fuse_atoms(self, j, i))
                 n = ma * mb
-                for k, mult in zip(row, row):
-                    acc[k] = get(k, 0) + n * mult
+                if n == 1:
+                    for k, mult in zip(row, row):
+                        acc[k] = get(k, 0) + mult
+                else:
+                    for k, mult in zip(row, row):
+                        acc[k] = get(k, 0) + n * mult
         return acc
 
 

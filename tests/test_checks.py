@@ -3,6 +3,7 @@ built only when the case fails, and reads exactly as the eager f-strings
 wrote it."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -92,9 +93,8 @@ def test_one_wrong_product_is_one_failure(monkeypatch):
     assert res.failures == ["oracle disagreement at M(1,2), P(0,1)"]
 
 
-def test_one_wrong_row_fails_associativity_at_that_pair(monkeypatch, fresh_rows):
-    # M(1,2) x M(1,2) = M(1,1) + M(1,3) at p = 3; drop M(1,3).  The triple
-    # loop reads the cached rows without going through ``fuse``.
+def _wrong_m12_m12(monkeypatch):
+    # M(1,2) x M(1,2) = M(1,1) + M(1,3) at p = 3; drop M(1,3).
     rule = fusion.fuse_simple_simple_atypical
 
     def wrong(params, r, s, r2, s2):
@@ -103,6 +103,25 @@ def test_one_wrong_row_fails_associativity_at_that_pair(monkeypatch, fresh_rows)
         return rule(params, r, s, r2, s2)
 
     monkeypatch.setattr(fusion, "fuse_simple_simple_atypical", wrong)
+
+
+def _wrong_p02_f13(monkeypatch):
+    # P(0,2) x F(1/3) at p = 3 loses its largest label.
+    rule = fusion.fuse_proj_typical
+
+    def wrong(params, r, s, q):
+        out = rule(params, r, s, q)
+        if (r, s, q) == (0, 2, Fraction(1, 3)):
+            return ModuleExpr.of(*out.atoms()[:-1])
+        return out
+
+    monkeypatch.setattr(fusion, "fuse_proj_typical", wrong)
+
+
+def test_one_wrong_row_fails_associativity_at_that_pair(monkeypatch, fresh_rows):
+    # The triple loop reads the cached rows without going through ``fuse``.
+    rule = fusion.fuse_simple_simple_atypical
+    _wrong_m12_m12(monkeypatch)
     [res] = run_suite("associativity", Params(3))
     assert res.cases == 30783
     assert all(f.startswith("associativity failed at ") for f in res.failures)
@@ -113,6 +132,54 @@ def test_one_wrong_row_fails_associativity_at_that_pair(monkeypatch, fresh_rows)
     fusion._fuse_atoms.cache_clear()
     fusion._TABLES.clear()
     assert run_suite("associativity", Params(3)) == [SuiteResult("associativity", 30783)]
+
+
+# Planted fault -> number of associativity failures at p = 3 and the sha256
+# of their texts joined by newlines, recorded from the triple loop that
+# compared every ordered triple on its own.
+PLANTED_ROW_FAULTS = {
+    "M(1,2) x M(1,2)": (
+        _wrong_m12_m12,
+        74,
+        "31f66a02c7a0fbdd23e747e3187845b79641ef9aea7d18a43cb10321e184a815",
+    ),
+    "P(0,2) x F(1/3)": (
+        _wrong_p02_f13,
+        248,
+        "d545c2f5cde0391095ac774ba5787bae6ceb5d55fd84d41df5f2e2538e60248b",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", PLANTED_ROW_FAULTS)
+def test_a_wrong_row_gives_every_associativity_failure_in_order(monkeypatch, fresh_rows, fault):
+    plant, count, digest = PLANTED_ROW_FAULTS[fault]
+    plant(monkeypatch)
+    [res] = run_suite("associativity", Params(3))
+    assert (res.cases, len(res.failures)) == (30783, count)
+    assert hashlib.sha256("\n".join(res.failures).encode()).hexdigest() == digest
+
+
+def test_an_asymmetric_product_fails_associativity_where_x_is_z(monkeypatch):
+    # Each unordered pair {x, z} is compared once per y, which is exact only
+    # if _Table.product is symmetric in its operands.  Break that: drop the
+    # last row when the first operand has one term and the second several.
+    # The x == z cases compare (x y) z with x (y z), the same two operands
+    # swapped, so they report it: at each of the 553 (x, y, x) triples where
+    # the loop over ordered triples reported it too.
+    product = fusion._Table.product
+
+    def asymmetric(self, xs, ys):
+        if len(xs) == 2 and len(ys) > 2:
+            ys = ys[:-2]
+        return product(self, xs, ys)
+
+    monkeypatch.setattr(fusion._Table, "product", asymmetric)
+    [res] = run_suite("associativity", Params(3))
+    triples = [f.removeprefix("associativity failed at ").split(", ") for f in res.failures]
+    x_is_z = [f for f, (x, _, z) in zip(res.failures, triples) if x == z]
+    assert "associativity failed at M(1,2), M(1,2), M(1,2)" in x_is_z
+    assert len(x_is_z) == 553
 
 
 @pytest.mark.parametrize("p, m, failures", [(2, 2, 4), (3, 4, 6)])
