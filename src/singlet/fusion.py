@@ -124,9 +124,8 @@ def fuse_simple_typical(params: Params, r: int, s: int, q) -> ModuleExpr:
     p = params.p
     _check_s(p, s, "atypical label")
     q = _typical_coord(q)
-    d = q.denominator
-    n0 = q.numerator + (p * (r - 1) - (s - 1)) * d
-    return ModuleExpr.of(*(FockTypical(Fraction(n0 + 2 * l * d, d)) for l in range(s)))
+    base = q + p * (r - 1) - (s - 1)
+    return ModuleExpr.of(*(FockTypical(base + 2 * l) for l in range(s)))
 
 
 def fuse_proj_typical(params: Params, r: int, s: int, q) -> ModuleExpr:
@@ -134,12 +133,9 @@ def fuse_proj_typical(params: Params, r: int, s: int, q) -> ModuleExpr:
     p = params.p
     _check_s(p, s, "projective label", top=p - 1)
     q = _typical_coord(q)
-    n, d = q.numerator, q.denominator
-    na = n + (p * (r - 1) - (s - 1)) * d
-    nb = n + (p * (r - 2) - (p - s - 1)) * d
-    return ModuleExpr.of(
-        *(FockTypical(Fraction(n0 + 2 * l * d, d)) for l in range(p) for n0 in (na, nb))
-    )
+    qa = q + p * (r - 1) - (s - 1)
+    qb = q + p * (r - 2) - (p - s - 1)
+    return ModuleExpr.of(*(FockTypical(q0 + 2 * l) for l in range(p) for q0 in (qa, qb)))
 
 
 def fuse_typical_typical(params: Params, q, q2) -> ModuleExpr:
@@ -152,10 +148,8 @@ def fuse_typical_typical(params: Params, q, q2) -> ModuleExpr:
     q = _typical_coord(q)
     q2 = _typical_coord(q2)
     total = q + q2
-    d = total.denominator
-    if d != 1:
-        n0 = total.numerator
-        return ModuleExpr.of(*(FockTypical(Fraction(n0 + 2 * l * d, d)) for l in range(p)))
+    if total.denominator != 1:
+        return ModuleExpr.of(*(FockTypical(total + 2 * l) for l in range(p)))
     # Solve n = p(r-1) - (s-1) for the unique (r, s) with 1 <= s <= p.
     n = int(total) - (2 - 2 * p)
     r = -(-n // p) + 1
@@ -290,20 +284,15 @@ class _Table:
         they stand for are."""
         acc: dict = {}
         get = acc.get
+        row_of = self.row
         x_terms = iter(xs)
         for i, ma in zip(x_terms, x_terms):
             y_terms = iter(ys)
             for j, mb in zip(y_terms, y_terms):
-                # self.row(i, j), inlined: this is the innermost loop of
-                # ``fuse`` and of the associativity suite.
-                row = iter(_fuse_atoms(self, i, j) if i <= j else _fuse_atoms(self, j, i))
+                row = iter(row_of(i, j))
                 n = ma * mb
-                if n == 1:
-                    for k, mult in zip(row, row):
-                        acc[k] = get(k, 0) + mult
-                else:
-                    for k, mult in zip(row, row):
-                        acc[k] = get(k, 0) + n * mult
+                for k, mult in zip(row, row):
+                    acc[k] = get(k, 0) + n * mult
         return acc
 
 
