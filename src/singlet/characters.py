@@ -11,7 +11,8 @@ simple is the alternating sum over its linear embedding chain, truncated
 where the quadratic weight growth leaves the window: the Virasoro
 irreducible at (r, s) gives q^h (1 - q^gap).  Equal offsets merge or cancel
 in the numerator, and each of its terms then adds one shifted partition
-series.  Partition numbers come from a cache extended in blocks.
+series.  Partition numbers come from a cache that Euler's recurrence
+extends with two C-level gathers per coefficient.
 Everything is exact integer arithmetic.
 """
 
@@ -19,7 +20,8 @@ from __future__ import annotations
 
 from _thread import allocate_lock
 from fractions import Fraction
-from operator import add, sub
+from itertools import chain
+from operator import add
 
 from .errors import DomainError
 from .modules import FockTypical, ModuleExpr, as_label, k_class, lowest_weight
@@ -36,7 +38,6 @@ __all__ = [
 
 _partitions = [1]
 _partitions_lock = allocate_lock()
-_PARTITION_BLOCK = 64
 _TERM_BLOCK = 1024
 
 
@@ -54,39 +55,44 @@ def _pentagonal(limit: int):
 
 
 def _extend_partitions(end: int) -> None:
-    """Append p(start)..p(end - 1) to the cache, start = len(_partitions).
+    """Append p(len(_partitions))..p(end - 1) to the cache by Euler's
+    recurrence p(k) = sum of sign(g) * p(k - g) over the pentagonal g <= k.
 
-    The block is at most ``start`` long, so every pentagonal offset at least
-    the block length reads only cached values: those are added to the whole
-    block at once.  Only the smaller offsets need the per-n loop.
+    When the cache holds p(0)..p(k - 1), p(k - g) is its item -g, so every
+    k between two pentagonal numbers reads the same offsets from the end of
+    the cache: each p(k) there is two C-level gathers (``map`` of the list's
+    ``__getitem__`` over the offsets of each sign) and two sums.  An offset
+    joins its list when k reaches it; a last stop at ``end`` fills the tail.
+    ``operator.itemgetter`` gathers faster, but its tuple of a new length at
+    each pentagonal number left about 50 KB more resident after a fill to
+    order 10000.
     """
     part = _partitions
-    start = len(part)
-    size = end - start
-    total = [0] * size
-    near_plus, near_minus = [], []
-    for g, sign in _pentagonal(end - 1):
-        if g < size:
-            (near_plus if sign > 0 else near_minus).append(g)
-            continue
-        j = max(start, g) - start
-        total[j:] = map(add if sign > 0 else sub, total[j:], part[j + start - g : end - g])
     get = part.__getitem__
-    for t, base in enumerate(total, start):
-        part.append(
-            base + sum(map(get, map(t.__sub__, near_plus))) - sum(map(get, map(t.__sub__, near_minus)))
-        )
+    plus, minus = [], []
+    for g, sign in chain(_pentagonal(end - 1), [(end, 0)]):
+        for _ in range(g - len(part)):
+            part.append(sum(map(get, plus)) - sum(map(get, minus)))
+        (plus if sign > 0 else minus).append(-g)
+
+
+def check_order(n) -> None:
+    """Raise DomainError unless the truncation order ``n`` is an int >= 0."""
+    if not isinstance(n, int):
+        raise DomainError(f"truncation order must be an integer, got {n!r}")
+    if n < 0:
+        raise DomainError(f"truncation order must be >= 0, got {n}")
 
 
 def partition_numbers(n: int) -> list[int]:
     """Partition numbers p(0)..p(n) by Euler's pentagonal-number recurrence,
-    cached across calls and extended in blocks."""
-    if n < 0:
+    cached across calls; a copy of the cache, empty for n < 0."""
+    if isinstance(n, int) and n < 0:
         return []
+    check_order(n)
     with _partitions_lock:
-        while len(_partitions) <= n:
-            start = len(_partitions)
-            _extend_partitions(min(n + 1, start + min(start, _PARTITION_BLOCK)))
+        if len(_partitions) <= n:
+            _extend_partitions(n + 1)
         return _partitions[: n + 1]
 
 
@@ -177,8 +183,7 @@ def ch_vir_irr(params: Params, r: int, s: int, n: int) -> QSeries:
     p = params.p
     if r < 1 or not 1 <= s <= p:
         raise DomainError(f"need r >= 1 and 1 <= s <= {p}, got (r,s)=({r},{s})")
-    if n < 0:
-        raise DomainError(f"truncation order must be >= 0, got {n}")
+    check_order(n)
     return QSeries(h_rs(params, r, s), _times_partitions({0: 1, _gap(params, r, s): -1}, n))
 
 
@@ -213,8 +218,7 @@ def ch_expr(params: Params, x, n: int) -> CharacterSum:
     a chain term shared by several summands, such as the nested orbit lifts
     of an orbifold module, reaches the coefficients once.
     """
-    if n < 0:
-        raise DomainError(f"truncation order must be >= 0, got {n}")
+    check_order(n)
     by_coset: dict = {}
     for factor, mult in k_class(params, x).terms():
         lw = lowest_weight(params, factor)

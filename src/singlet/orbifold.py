@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .characters import CharacterSum, ch_expr
+from .characters import CharacterSum, ch_expr, check_order
 from .errors import DomainError, NotLocal, UnsupportedSpecies
 from .fusion import fuse
 from .modules import (
@@ -253,5 +253,6 @@ def _orbit_lifts(op: OrbifoldParams, atom, depth: int) -> list:
 def orbifold_char_expr(op: OrbifoldParams, x, n: int) -> CharacterSum:
     """Truncated character of an orbifold expression (or of a single label):
     the sum of the characters of each summand's singlet lifts over its orbit."""
+    check_order(n)
     lifted = as_expr(x).expand(lambda atom: _orbit_lifts(op, normalize_orbifold_atom(op, atom), n))
     return ch_expr(op.singlet, lifted, n)

@@ -23,6 +23,7 @@ from singlet.modules import (
     k_class,
     lowest_weight,
 )
+from singlet.orbifold import OrbifoldParams, WSimple, orbifold_char_expr
 from singlet.weights import Params, h_rs
 
 from helpers import ch_expr_by_terms
@@ -57,6 +58,33 @@ def test_partition_cache_extends_exactly(monkeypatch):
     for n in (5, 300, 100, 1000):
         assert partition_numbers(n) == full[: n + 1]
     assert len(characters._partitions) == 1001
+
+
+@pytest.mark.parametrize("start", range(1, 13))
+def test_partition_cache_extends_from_any_length(monkeypatch, start):
+    # Starts below the pentagonal numbers 1, 2, 5 and 7 fill coefficients
+    # whose recurrence reads zero or one cached value of a sign.
+    full = _partitions_by_parts(400)
+    monkeypatch.setattr(characters, "_partitions", full[:start])
+    assert partition_numbers(400) == full
+    assert characters._partitions == full
+
+
+def test_partition_numbers_match_counting_by_parts(monkeypatch):
+    monkeypatch.setattr(characters, "_partitions", [1])
+    assert partition_numbers(2000) == _partitions_by_parts(2000)
+
+
+def test_partition_numbers_return_a_copy(monkeypatch):
+    # The recurrence reads the cache from its end, so an alias handed out
+    # and mutated would corrupt every later coefficient.
+    monkeypatch.setattr(characters, "_partitions", [1])
+    full = _partitions_by_parts(300)
+    got = partition_numbers(100)
+    got[-1] = 0
+    got.append(0)
+    assert partition_numbers(100) == full[:101]
+    assert partition_numbers(300) == full
 
 
 def _times_partitions_naive(numerator, n):
@@ -124,6 +152,24 @@ def test_a_negative_order_is_refused(p2, call):
     with pytest.raises(DomainError) as err:
         call(p2)
     assert str(err.value) == "truncation order must be >= 0, got -1"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        partition_numbers,
+        lambda n: ch_expr(Params(2), MSimple(1, 1), n),
+        lambda n: ch_indec(Params(2), MSimple(1, 1), n),
+        lambda n: ch_vir_irr(Params(2), 1, 1, n),
+        lambda n: orbifold_char_expr(OrbifoldParams(2, 1), WSimple(0, 1), n),
+    ],
+    ids=["partition_numbers", "ch_expr", "ch_indec", "ch_vir_irr", "orbifold_char_expr"],
+)
+@pytest.mark.parametrize("n", [5.0, "5", Fraction(5), None])
+def test_a_non_int_order_is_refused(call, n):
+    with pytest.raises(DomainError) as err:
+        call(n)
+    assert str(err.value) == f"truncation order must be an integer, got {n!r}"
 
 
 def test_vacuum_character(p2):
