@@ -18,7 +18,6 @@ from .errors import (
     NonSemisimpleTwist,
     NotLocal,
     NotProjectiveClass,
-    NotTypical,
     OracleSubtractionFailure,
     SingletError,
     UnsupportedSpecies,
@@ -26,11 +25,6 @@ from .errors import (
 from .fusion import (
     chebyshev_fuse,
     fuse,
-    fuse_proj_simple,
-    fuse_proj_typical,
-    fuse_simple_simple_atypical,
-    fuse_simple_typical,
-    fuse_typical_typical,
     k_product,
     projective_decompose,
 )

@@ -24,7 +24,7 @@ from itertools import chain
 from operator import add
 
 from .errors import DomainError
-from .modules import FockTypical, ModuleExpr, as_label, k_class, lowest_weight
+from .modules import FockTypical, ModuleExpr, _check_rs, as_label, k_class, lowest_weight
 from .weights import Params, Value, exact, h_rs
 
 __all__ = [
@@ -180,9 +180,9 @@ def ch_vir_irr(params: Params, r: int, s: int, n: int) -> QSeries:
 
     One embedding subtraction suffices: the numerator is 1 - q^gap.
     """
-    p = params.p
-    if r < 1 or not 1 <= s <= p:
-        raise DomainError(f"need r >= 1 and 1 <= s <= {p}, got (r,s)=({r},{s})")
+    _check_rs(params.p, r, s, "Virasoro irreducible")
+    if r < 1:
+        raise DomainError(f"Virasoro irreducible needs r >= 1, got r={r}")
     check_order(n)
     return QSeries(h_rs(params, r, s), _times_partitions({0: 1, _gap(params, r, s): -1}, n))
 

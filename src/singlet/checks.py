@@ -63,15 +63,15 @@ def universe(params: Params) -> list:
     return atoms
 
 
-def sample_coords(count: int = 50) -> list[Fraction]:
-    """Deterministic non-integral rational coordinates."""
+def sample_coords() -> list[Fraction]:
+    """50 deterministic non-integral rational coordinates."""
     out: list[Fraction] = []
     for den in (2, 3, 4, 5, 7):
         for num in range(-3 * den, 3 * den + 1):
             f = Fraction(num, den)
             if f.denominator != 1 and f not in out:
                 out.append(f)
-    return out[:count]
+    return out[:50]
 
 
 def _suite_associativity(params: Params) -> SuiteResult:

@@ -13,10 +13,6 @@ class UnsupportedSpecies(SingletError):
     """The operation is not defined for this module species."""
 
 
-class NotTypical(SingletError):
-    """A typical Fock coordinate was required but an integer was supplied."""
-
-
 class NonSemisimpleTwist(SingletError):
     """The ribbon twist is not a scalar on this (non-simple) module."""
 

@@ -1,7 +1,10 @@
 """Tensor products of module expressions.
 
-Six closed-form rules, one per species pair, give every product of two
-labels; projective x projective sums projective x simple over the
+One table, ``_CLOSED_FORMS``, gives every product of two labels: a
+private rule per species pair, on two normalized labels in canonical order
+(M <= F <= P).  :func:`fuse` is the one public way to take a product; it
+validates and normalizes each label once, at its boundary, so the rules
+check nothing.  Projective x projective sums projective x simple over the
 composition factors of one operand, since P x - is exact and lands in
 projectives.  Tensoring is exact, so the Grothendieck-ring product
 (:func:`k_product`) is the class of the fusion product of the classes.
@@ -32,14 +35,12 @@ of :func:`fuse`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
 from .errors import (
     DomainError,
     NotProjectiveClass,
-    NotTypical,
     OracleSubtractionFailure,
     SingletError,
     UnsupportedSpecies,
@@ -49,7 +50,6 @@ from .modules import (
     ModuleExpr,
     MSimple,
     Proj,
-    _check_s,
     _layers,
     as_expr,
     as_label,
@@ -60,26 +60,14 @@ from .modules import (
     sort_key,
     term_pairs,
 )
-from .weights import Params, exact
+from .weights import Params
 
 __all__ = [
     "fuse",
-    "fuse_simple_simple_atypical",
-    "fuse_simple_typical",
-    "fuse_proj_simple",
-    "fuse_proj_typical",
-    "fuse_typical_typical",
     "k_product",
     "projective_decompose",
     "chebyshev_fuse",
 ]
-
-
-def _typical_coord(q) -> Fraction:
-    q = exact(q)
-    if q.denominator == 1:
-        raise NotTypical(f"coordinate {q} is integral, not typical")
-    return q
 
 
 def _ranges(p: int, s: int, s2: int) -> tuple:
@@ -89,65 +77,41 @@ def _ranges(p: int, s: int, s2: int) -> tuple:
     return a, range(2 * p + 1 - s - s2, p + 1, 2)
 
 
-def fuse_simple_simple_atypical(params: Params, r: int, s: int, r2: int, s2: int) -> ModuleExpr:
-    """Product of the atypical simples at (r, s) and (r2, s2): M(R,l) for l
-    in A(s,s2) and P(R,l) for l in B(s,s2), with R = r + r2 - 1."""
-    p = params.p
-    _check_s(p, s, "atypical label")
-    _check_s(p, s2, "atypical label")
-    rr = r + r2 - 1
-    simple, projective = _ranges(p, s, s2)
+def _simple_simple(params: Params, a, b) -> ModuleExpr:
+    """M(r,s) x M(r2,s2): M(R,l) for l in A(s,s2) and P(R,l) for l in
+    B(s,s2), with R = r + r2 - 1."""
+    rr = a.r + b.r - 1
+    simple, projective = _ranges(params.p, a.s, b.s)
     return ModuleExpr.of(
         *(MSimple(rr, l) for l in simple),
         *(normalize_atom(params, Proj(rr, l)) for l in projective),
     )
 
 
-def fuse_proj_simple(params: Params, r: int, s: int, r2: int, s2: int) -> ModuleExpr:
-    """P(r,s) x M(r2,s2), s < p: P(R,l) for l in A(s,s2), 2 P(R,l) for l in
+def _simple_typical(params: Params, a, b) -> ModuleExpr:
+    """M(r,s) x F(q): s typical Fock modules stepping by the short root."""
+    base = b.q + params.p * (a.r - 1) - (a.s - 1)
+    return ModuleExpr.of(*(FockTypical(base + 2 * l) for l in range(a.s)))
+
+
+def _simple_proj(params: Params, a, b) -> ModuleExpr:
+    """M(r2,s2) x P(r,s): P(R,l) for l in A(s,s2), 2 P(R,l) for l in
     B(s,s2), and P(R-1,l) + P(R+1,l) for l in B(p-s,s2); R = r + r2 - 1."""
     p = params.p
-    _check_s(p, s, "projective label", top=p - 1)
-    _check_s(p, s2, "atypical label")
-    rr = r + r2 - 1
-    once, twice = _ranges(p, s, s2)
-    flanks = _ranges(p, p - s, s2)[1]
+    rr = b.r + a.r - 1
+    once, twice = _ranges(p, b.s, a.s)
+    flanks = _ranges(p, p - b.s, a.s)[1]
     return ModuleExpr.of(
         *(normalize_atom(params, Proj(rr, l)) for l in chain(once, twice, twice)),
         *(normalize_atom(params, Proj(r0, l)) for l in flanks for r0 in (rr - 1, rr + 1)),
     )
 
 
-def fuse_simple_typical(params: Params, r: int, s: int, q) -> ModuleExpr:
-    """Product of the atypical simple at (r, s) with the typical Fock at q:
-    a sum of s typical Fock modules stepping by the short root."""
+def _typical_typical(params: Params, a, b) -> ModuleExpr:
+    """F(q) x F(q2): off the integral coset, p Fock modules; on it, the
+    unique nonnegative projective sum prescribed by the coset parameters."""
     p = params.p
-    _check_s(p, s, "atypical label")
-    q = _typical_coord(q)
-    base = q + p * (r - 1) - (s - 1)
-    return ModuleExpr.of(*(FockTypical(base + 2 * l) for l in range(s)))
-
-
-def fuse_proj_typical(params: Params, r: int, s: int, q) -> ModuleExpr:
-    """Product of the projective cover at (r, s), s < p, with a typical Fock."""
-    p = params.p
-    _check_s(p, s, "projective label", top=p - 1)
-    q = _typical_coord(q)
-    qa = q + p * (r - 1) - (s - 1)
-    qb = q + p * (r - 2) - (p - s - 1)
-    return ModuleExpr.of(*(FockTypical(q0 + 2 * l) for l in range(p) for q0 in (qa, qb)))
-
-
-def fuse_typical_typical(params: Params, q, q2) -> ModuleExpr:
-    """Product of two typical Fock modules.
-
-    Off the integral coset the result is p Fock modules; on it, the unique
-    nonnegative projective sum prescribed by the coset parameters.
-    """
-    p = params.p
-    q = _typical_coord(q)
-    q2 = _typical_coord(q2)
-    total = q + q2
+    total = a.q + b.q
     if total.denominator != 1:
         return ModuleExpr.of(*(FockTypical(total + 2 * l) for l in range(p)))
     # Solve n = p(r-1) - (s-1) for the unique (r, s) with 1 <= s <= p.
@@ -160,19 +124,30 @@ def fuse_typical_typical(params: Params, q, q2) -> ModuleExpr:
     )
 
 
-# The closed-form rule of each canonical species pair (MSimple <= FockTypical
-# <= Proj), read by ``_fuse_atoms`` alone.  The entries look the rules up as
-# module globals when called, so a wrapper installed on a module attribute
-# sees every call.
+def _typical_proj(params: Params, a, b) -> ModuleExpr:
+    """F(q) x P(r,s): p Fock modules from each of two base coordinates."""
+    p = params.p
+    qa = a.q + p * (b.r - 1) - (b.s - 1)
+    qb = a.q + p * (b.r - 2) - (p - b.s - 1)
+    return ModuleExpr.of(*(FockTypical(q0 + 2 * l) for l in range(p) for q0 in (qa, qb)))
+
+
+def _proj_proj(params: Params, a, b) -> ModuleExpr:
+    """P x P: P x - is exact and lands in projectives, so a x b is the sum
+    of a x f over the composition factors f of b."""
+    return ModuleExpr.combine((n, _simple_proj(params, f, a)) for f, n in k_class(params, b).items())
+
+
+# The rule of each canonical species pair (MSimple <= FockTypical <= Proj),
+# on two labels in that order; read by ``_fuse_atoms``.  Every label a rule
+# meets has passed ``_fusable``, so the rules check nothing.
 _CLOSED_FORMS = {
-    (MSimple, MSimple): lambda params, a, b: fuse_simple_simple_atypical(params, a.r, a.s, b.r, b.s),
-    (MSimple, FockTypical): lambda params, a, b: fuse_simple_typical(params, a.r, a.s, b.q),
-    (MSimple, Proj): lambda params, a, b: fuse_proj_simple(params, b.r, b.s, a.r, a.s),
-    (FockTypical, FockTypical): lambda params, a, b: fuse_typical_typical(params, a.q, b.q),
-    (FockTypical, Proj): lambda params, a, b: fuse_proj_typical(params, b.r, b.s, a.q),
-    (Proj, Proj): lambda params, a, b: ModuleExpr.combine(
-        (n, fuse_proj_simple(params, a.r, a.s, f.r, f.s)) for f, n in k_class(params, b).items()
-    ),
+    (MSimple, MSimple): _simple_simple,
+    (MSimple, FockTypical): _simple_typical,
+    (MSimple, Proj): _simple_proj,
+    (FockTypical, FockTypical): _typical_typical,
+    (FockTypical, Proj): _typical_proj,
+    (Proj, Proj): _proj_proj,
 }
 
 
@@ -197,12 +172,12 @@ def projective_decompose(params: Params, k) -> ModuleExpr:
     doubled the peel's time).  A negative count raises NotProjectiveClass.
     """
     p = params.p
-    out: list = []
+    out: dict = {}
     rest: dict = {}
     for atom, mult in as_expr(k).terms():
         atom = normalize_atom(params, atom)
         if isinstance(atom, FockTypical) or (isinstance(atom, MSimple) and atom.s == p):
-            out.append((atom, mult))
+            out[atom] = out.get(atom, 0) + mult
         elif isinstance(atom, MSimple):
             rest[atom.r, atom.s] = mult
         else:
@@ -212,13 +187,13 @@ def projective_decompose(params: Params, k) -> ModuleExpr:
         if not c:
             continue
         cover = Proj(r - 1, p - s)
-        out.append((cover, c))
+        out[cover] = c
         for f in chain.from_iterable(_layers(p, cover)):
             left = rest.get((f.r, f.s), 0) - c
             if left < 0:
                 raise NotProjectiveClass("no nonnegative integer projective decomposition")
             rest[f.r, f.s] = left
-    return ModuleExpr.combine((mult, ModuleExpr.of(atom)) for atom, mult in out)
+    return ModuleExpr._trusted(out)
 
 
 _FUSABLE = (MSimple, FockTypical, Proj)
@@ -473,7 +448,7 @@ class _Ladder:
             # Purely typical pairs admit no degenerate-field recursion; fall
             # back to the direct rule (independently cross-checked by the
             # triple-product and pairing identities in the check suites).
-            return fuse_typical_typical(self.params, a.q, b.q)
+            return _typical_typical(self.params, a, b)
         # The ladders ran at r = 1; J^k moves the result to the operand's r.
         atoms, params = self.atoms, self.params
         return ModuleExpr._trusted({shift(params, atoms[i], k): mult for i, mult in rung.items()})

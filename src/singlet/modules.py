@@ -173,19 +173,26 @@ def sort_key(atom):
         raise DomainError(f"not a module label: {atom!r}") from None
 
 
-def _check_s(p: int, s: int, what: str, top: int | None = None):
-    top = p if top is None else top
-    if not 1 <= s <= top:
-        raise DomainError(f"{what} needs 1 <= s <= {top}, got s={s}")
+def _check_rs(p: int, r, s, what: str):
+    """Raise DomainError unless r and s are ints and 1 <= s <= p.  An int is
+    of class int: a float or a bool equal to an int hashes as that int, so a
+    label made of one would stand in a cache for the int label."""
+    if r.__class__ is not int or s.__class__ is not int:
+        raise DomainError(f"{what} needs integer r and s, got r={r!r}, s={s!r}")
+    if not 1 <= s <= p:
+        raise DomainError(f"{what} needs 1 <= s <= {p}, got s={s}")
 
 
 def normalize_atom(params: Params, atom):
-    """Validate s-ranges against p and collapse the s = p conventions."""
+    """Validate r and s (ints, by the rule of :func:`_check_rs`) and the
+    s-range against p, and collapse the s = p conventions."""
     p = params.p
     if isinstance(atom, FockTypical):
         return atom
     if not isinstance(atom, (MSimple, Proj, FockAtypical, GenVerma)):
         raise DomainError(f"not a singlet module label: {atom!r}")
+    if atom.r.__class__ is not int or atom.s.__class__ is not int:
+        raise DomainError(f"label {label(atom)} needs integer r and s")
     if not 1 <= atom.s <= p:
         raise DomainError(f"label {label(atom)} needs 1 <= s <= {p}")
     if isinstance(atom, (Proj, FockAtypical)) and atom.s == p:
@@ -419,7 +426,7 @@ def _layers(p: int, atom) -> tuple:
 
 def verma_quotient_factors(params: Params, r: int, s: int) -> ModuleExpr:
     """Composition factors of the generalized Verma quotient G(r, s)."""
-    _check_s(params.p, s, "verma quotient")
+    _check_rs(params.p, r, s, "verma quotient")
     return k_class(params, GenVerma(r, s))
 
 
@@ -479,7 +486,7 @@ def monodromy_phase_with_m21(params: Params, atom) -> UnitPhase:
 def virasoro_induce(params: Params, r: int, s: int) -> ModuleExpr:
     """Induction of the irreducible Virasoro module at (r, s), r >= 1:
     the direct sum of MSimple(2k - r, s) for k = 1..r."""
+    _check_rs(params.p, r, s, "induction")
     if r < 1:
         raise DomainError(f"induction needs r >= 1, got r={r}")
-    _check_s(params.p, s, "induction")
     return ModuleExpr.of(*(MSimple(2 * k - r, s) for k in range(1, r + 1)))

@@ -33,7 +33,7 @@ from .modules import (
     MSimple,
     PairLabel,
     Proj,
-    _check_s,
+    _check_rs,
     as_expr,
     defining_coord,
     label,
@@ -112,12 +112,12 @@ class RProj(PairLabel):
 
 
 def w_simple(op: OrbifoldParams, r: int, s: int) -> WSimple:
-    _check_s(op.p, s, "W label")
+    _check_rs(op.p, r, s, "W label")
     return WSimple(r % op.r_modulus, s)
 
 
 def r_proj(op: OrbifoldParams, r: int, s: int):
-    _check_s(op.p, s, "R label")
+    _check_rs(op.p, r, s, "R label")
     if s == op.p:
         return WSimple(r % op.r_modulus, s)
     return RProj(r % op.r_modulus, s)

@@ -196,7 +196,7 @@ def test_10_orbifold_functoriality():
 
 def test_11_weight_constraint_audit():
     params = Params(2)
-    coords = checks.sample_coords(50)
+    coords = checks.sample_coords()
     assert len(coords) == 50
     for q in coords:
         allowed = allowed_neighbor_weights(Weight(q, params.p), "via12")

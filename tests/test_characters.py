@@ -144,6 +144,17 @@ def test_ch_vir_irr_domain(p2):
 
 
 @pytest.mark.parametrize(
+    "r, s",
+    [(1.5, 1), (1, 1.0), ("1", 1), (1, "1"), (True, 1)],
+    ids=["float r", "float s", "str r", "str s", "bool r"],
+)
+def test_ch_vir_irr_refuses_a_non_int_label(p2, r, s):
+    with pytest.raises(DomainError) as err:
+        ch_vir_irr(p2, r, s, 5)
+    assert str(err.value) == f"Virasoro irreducible needs integer r and s, got r={r!r}, s={s!r}"
+
+
+@pytest.mark.parametrize(
     "call",
     [lambda p: ch_expr(p, MSimple(1, 1), -1), lambda p: ch_vir_irr(p, 1, 1, -1)],
     ids=["ch_expr", "ch_vir_irr"],

@@ -10,7 +10,7 @@ import pytest
 from singlet import checks, fusion, modules, orbifold
 from singlet.checks import SuiteResult, run_suite, run_suites
 from singlet.errors import DomainError
-from singlet.modules import ModuleExpr, MSimple, Proj
+from singlet.modules import FockTypical, ModuleExpr, MSimple, Proj
 from singlet.weights import Params
 
 # Suite at p = 2 (orbifold m = 3, character order 6) -> case count, first and
@@ -95,32 +95,32 @@ def test_one_wrong_product_is_one_failure(monkeypatch):
 
 def _wrong_m12_m12(monkeypatch):
     # M(1,2) x M(1,2) = M(1,1) + M(1,3) at p = 3; drop M(1,3).
-    rule = fusion.fuse_simple_simple_atypical
+    rule = fusion._CLOSED_FORMS[MSimple, MSimple]
 
-    def wrong(params, r, s, r2, s2):
-        if (r, s, r2, s2) == (1, 2, 1, 2):
+    def wrong(params, a, b):
+        if (a, b) == (MSimple(1, 2), MSimple(1, 2)):
             return ModuleExpr.of(MSimple(1, 1))
-        return rule(params, r, s, r2, s2)
+        return rule(params, a, b)
 
-    monkeypatch.setattr(fusion, "fuse_simple_simple_atypical", wrong)
+    monkeypatch.setitem(fusion._CLOSED_FORMS, (MSimple, MSimple), wrong)
 
 
 def _wrong_p02_f13(monkeypatch):
     # P(0,2) x F(1/3) at p = 3 loses its largest label.
-    rule = fusion.fuse_proj_typical
+    rule = fusion._CLOSED_FORMS[FockTypical, Proj]
 
-    def wrong(params, r, s, q):
-        out = rule(params, r, s, q)
-        if (r, s, q) == (0, 2, Fraction(1, 3)):
+    def wrong(params, a, b):
+        out = rule(params, a, b)
+        if (a, b) == (FockTypical(Fraction(1, 3)), Proj(0, 2)):
             return ModuleExpr.of(*out.atoms()[:-1])
         return out
 
-    monkeypatch.setattr(fusion, "fuse_proj_typical", wrong)
+    monkeypatch.setitem(fusion._CLOSED_FORMS, (FockTypical, Proj), wrong)
 
 
 def test_one_wrong_row_fails_associativity_at_that_pair(monkeypatch, fresh_rows):
     # The triple loop reads the cached rows without going through ``fuse``.
-    rule = fusion.fuse_simple_simple_atypical
+    rule = fusion._CLOSED_FORMS[MSimple, MSimple]
     _wrong_m12_m12(monkeypatch)
     [res] = run_suite("associativity", Params(3))
     assert res.cases == 30783
@@ -128,7 +128,7 @@ def test_one_wrong_row_fails_associativity_at_that_pair(monkeypatch, fresh_rows)
     # x x (M(1,2) x M(1,2)) reads the wrong row, (x x M(1,2)) x M(1,2) does not.
     assert "associativity failed at M(-2,1), M(1,2), M(1,2)" in res.failures
     assert "associativity failed at M(1,2), M(1,2), M(-2,1)" in res.failures
-    monkeypatch.setattr(fusion, "fuse_simple_simple_atypical", rule)
+    monkeypatch.setitem(fusion._CLOSED_FORMS, (MSimple, MSimple), rule)
     fusion._fuse_atoms.cache_clear()
     fusion._TABLES.clear()
     assert run_suite("associativity", Params(3)) == [SuiteResult("associativity", 30783)]

@@ -9,7 +9,6 @@ from singlet.checks import universe
 from singlet.errors import (
     DomainError,
     NotProjectiveClass,
-    NotTypical,
     OracleSubtractionFailure,
     UnsupportedSpecies,
 )
@@ -17,11 +16,6 @@ from singlet.fusion import (
     _fuse_atoms,
     chebyshev_fuse,
     fuse,
-    fuse_proj_simple,
-    fuse_proj_typical,
-    fuse_simple_simple_atypical,
-    fuse_simple_typical,
-    fuse_typical_typical,
     k_product,
     projective_decompose,
 )
@@ -33,6 +27,7 @@ from singlet.modules import (
     MSimple,
     Proj,
     k_class,
+    label,
     shift,
 )
 from singlet.weights import Params
@@ -57,13 +52,13 @@ def expr(*pairs):
     ],
 )
 def test_simple_simple_examples(p, a, b, expected):
-    got = fuse_simple_simple_atypical(Params(p), a[0], a[1], b[0], b[1])
+    got = fuse(Params(p), MSimple(*a), MSimple(*b))
     assert got == expr(*expected)
 
 
 def test_simple_simple_empty_ranges_taken_literally(p2):
     # s + s2 large enough that the first sum is empty at p = 2.
-    got = fuse_simple_simple_atypical(p2, 1, 2, 1, 2)
+    got = fuse(p2, MSimple(1, 2), MSimple(1, 2))
     assert got == ModuleExpr.of(Proj(1, 1))
 
 
@@ -76,13 +71,14 @@ def test_simple_simple_empty_ranges_taken_literally(p2):
     ],
 )
 def test_simple_typical_examples(p, rs, q, expected_qs):
-    got = fuse_simple_typical(Params(p), rs[0], rs[1], q)
+    got = fuse(Params(p), MSimple(*rs), F(q))
     assert got == ModuleExpr.of(*(F(x) for x in expected_qs))
 
 
 def test_simple_typical_rejects_integral(p2):
-    with pytest.raises(NotTypical):
-        fuse_simple_typical(p2, 1, 1, Fraction(4, 2))
+    # An integral coordinate is no typical label, so no rule ever meets one.
+    with pytest.raises(DomainError, match="non-integral"):
+        fuse(p2, MSimple(1, 1), FockTypical(Fraction(4, 2)))
 
 
 @pytest.mark.parametrize(
@@ -99,15 +95,15 @@ def test_simple_typical_rejects_integral(p2):
     ],
 )
 def test_proj_typical_examples(p, rs, q, expected):
-    got = fuse_proj_typical(Params(p), rs[0], rs[1], q)
+    got = fuse(Params(p), Proj(*rs), F(q))
     assert got == expr(*expected)
 
 
 def test_proj_typical_domain(p2):
-    with pytest.raises(DomainError):
-        fuse_proj_typical(p2, 1, 2, Fraction(1, 2))  # s = p is simple
-    with pytest.raises(NotTypical):
-        fuse_proj_typical(p2, 1, 1, 3)
+    # P(r,p) is the simple M(r,p), so its row is the simple one.
+    assert fuse(p2, Proj(1, 2), F("1/2")) == fuse(p2, MSimple(1, 2), F("1/2"))
+    with pytest.raises(DomainError, match="non-integral"):
+        fuse(p2, Proj(1, 1), FockTypical(3))
 
 
 @pytest.mark.parametrize(
@@ -129,15 +125,15 @@ def test_proj_typical_domain(p2):
     ],
 )
 def test_proj_simple_examples(p, rs, rs2, expected):
-    got = fuse_proj_simple(Params(p), *rs, *rs2)
+    got = fuse(Params(p), Proj(*rs), MSimple(*rs2))
     assert got == expr(*expected)
 
 
 def test_proj_simple_domain(p2):
-    with pytest.raises(DomainError):
-        fuse_proj_simple(p2, 1, 2, 1, 1)  # s = p is simple
-    with pytest.raises(DomainError):
-        fuse_proj_simple(p2, 1, 1, 1, 3)
+    # P(r,p) is the simple M(r,p); an s beyond p is refused at the label.
+    assert fuse(p2, Proj(1, 2), MSimple(1, 1)) == fuse(p2, MSimple(1, 2), MSimple(1, 1))
+    with pytest.raises(DomainError, match=r"M\(1,3\) needs 1 <= s <= 2"):
+        fuse(p2, Proj(1, 1), MSimple(1, 3))
 
 
 @pytest.mark.parametrize(
@@ -150,7 +146,7 @@ def test_proj_simple_domain(p2):
     ],
 )
 def test_typical_typical_examples(p, q1, q2, expected):
-    assert fuse_typical_typical(Params(p), q1, q2) == expr(*expected)
+    assert fuse(Params(p), F(q1), F(q2)) == expr(*expected)
 
 
 def test_dual_pairing_identity(p2, p3, p5):
@@ -161,7 +157,7 @@ def test_dual_pairing_identity(p2, p3, p5):
             *(MSimple(1, s) if s == p else Proj(1, s) for s in range(1, p + 1, 2))
         )
         for q in (Fraction(1, 2), Fraction(-7, 3), Fraction(9, 4)):
-            assert fuse_typical_typical(params, q, 2 - 2 * p - q) == expected
+            assert fuse(params, F(q), F(2 - 2 * p - q)) == expected
 
 
 @pytest.mark.parametrize(
@@ -288,6 +284,23 @@ def test_projective_decompose_rejections(p2):
 )
 def test_fuse_examples(p, x, y, expected):
     assert fuse(Params(p), x, y) == expr(*expected)
+
+
+# A float or a bool equals an int and hashes as it; a label made of one must
+# be refused before the id tables keep it in place of the int label.
+NON_INT_LABELS = [MSimple(1.0, 2), MSimple(1, 2.0), MSimple(1.5, 2), Proj(True, 1)]
+
+
+@pytest.mark.parametrize("product", [fuse, chebyshev_fuse])
+@pytest.mark.parametrize("bad", NON_INT_LABELS, ids=label)
+def test_a_refused_non_int_label_leaves_later_products_printing_ints(fresh_rows, product, bad):
+    p3 = Params(3)
+    with pytest.raises(DomainError, match=r"needs integer r and s$"):
+        product(p3, bad, MSimple(1, 2))
+    with pytest.raises(DomainError, match=r"needs integer r and s$"):
+        product(p3, MSimple(1, 2), ModuleExpr.of(F("1/2"), *NON_INT_LABELS))
+    assert str(product(p3, MSimple(1, 2), MSimple(1, 2))) == "M(1,1) + M(1,3)"
+    assert str(product(p3, MSimple(1, 2), Proj(1, 1))) == "M(0,3) + M(2,3) + P(1,2)"
 
 
 def test_fuse_rejects_structural_species(p2):

@@ -38,6 +38,15 @@ from singlet.orbifold import (
 )
 from singlet.weights import Params
 
+
+def test_a_refused_non_int_label_leaves_later_inductions_printing_ints():
+    # The images of op are kept per singlet label; M(1.0,1) equals M(1,1).
+    op = OrbifoldParams(3, 2)
+    for bad in (MSimple(1.0, 1), MSimple(1, 1.0), Proj(True, 1)):
+        with pytest.raises(DomainError, match=r"needs integer r and s$"):
+            induce(op, bad)
+    assert str(induce(op, ModuleExpr.of(MSimple(1, 1), Proj(1, 1)))) == "W(1,1) + R(1,1)"
+
 from helpers import ch_expr_by_terms, orbit_lift
 
 

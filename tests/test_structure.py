@@ -272,7 +272,8 @@ def test_virasoro_induce_domain(p2):
         virasoro_induce(p2, 1, 3)
 
 
-# Every s-range check reports "{what} needs 1 <= s <= {top}, got s={s}".
+# Every s-range check reports "{what} needs 1 <= s <= {top}, got s={s}", and
+# refuses an r or s that is not of class int before that.
 S_RANGE_CALLS = {
     "verma_quotient_factors": (
         lambda: verma_quotient_factors(Params(3), 1, 4),
@@ -284,6 +285,26 @@ S_RANGE_CALLS = {
     ),
     "w_simple": (lambda: w_simple(OrbifoldParams(3, 2), 1, 4), "W label needs 1 <= s <= 3, got s=4"),
     "r_proj": (lambda: r_proj(OrbifoldParams(3, 2), 1, 0), "R label needs 1 <= s <= 3, got s=0"),
+    "normalize_atom non-int": (
+        lambda: normalize_atom(Params(3), GenVerma(1, 2.0)),
+        "label G(1,2.0) needs integer r and s",
+    ),
+    "verma_quotient_factors non-int": (
+        lambda: verma_quotient_factors(Params(3), 1.0, 2),
+        "verma quotient needs integer r and s, got r=1.0, s=2",
+    ),
+    "virasoro_induce non-int": (
+        lambda: virasoro_induce(Params(3), 2, True),
+        "induction needs integer r and s, got r=2, s=True",
+    ),
+    "w_simple non-int": (
+        lambda: w_simple(OrbifoldParams(3, 2), 1.0, 1),
+        "W label needs integer r and s, got r=1.0, s=1",
+    ),
+    "r_proj non-int": (
+        lambda: r_proj(OrbifoldParams(3, 2), 1, "2"),
+        "R label needs integer r and s, got r=1, s='2'",
+    ),
 }
 
 

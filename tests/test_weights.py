@@ -5,13 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from singlet.characters import CharacterSum, QSeries
-from singlet.errors import DomainError, NotTypical
-from singlet.fusion import (
-    _typical_coord,
-    fuse_proj_typical,
-    fuse_simple_typical,
-    fuse_typical_typical,
-)
+from singlet.errors import DomainError
 from singlet.modules import (
     FockAtypical,
     FockTypical,
@@ -130,16 +124,14 @@ def test_kac_symmetry_with_periodicity(p2, p3):
     [(2, Fraction(1, 2), True), (2, 4, False), (5, Fraction(7, 3), True)],
 )
 def test_is_typical(p, q, typical):
-    # A typical coordinate is a non-integral one: FockTypical and the rules'
-    # _typical_coord accept exactly those.
+    # A typical coordinate is a non-integral one: FockTypical accepts exactly
+    # those, so the fusion rules never meet an integral one.
     q = Fraction(q)
     if typical:
-        assert FockTypical(q).q == _typical_coord(q) == q
+        assert FockTypical(q).q == q
     else:
         with pytest.raises(DomainError, match="non-integral"):
             FockTypical(q)
-        with pytest.raises(NotTypical, match="integral, not typical"):
-            _typical_coord(q)
 
 
 @pytest.mark.parametrize(
@@ -233,9 +225,6 @@ FLOAT_CALLS = {
     "UnitPhase": lambda: UnitPhase(0.25),
     "QSeries.h0": lambda: QSeries(0.5, (1,)),
     "CharacterSum.coset": lambda: CharacterSum({}).coset(0.5),
-    "fuse_simple_typical": lambda: fuse_simple_typical(Params(3), 1, 2, 1 / 3),
-    "fuse_proj_typical": lambda: fuse_proj_typical(Params(3), 1, 1, 0.5),
-    "fuse_typical_typical": lambda: fuse_typical_typical(Params(3), Fraction(1, 2), 0.5),
     "v_typical": lambda: v_typical(OrbifoldParams(2, 2), 0.5),
     "h0_squared": lambda: h0_squared(Params(2), 0.5),
 }
