@@ -77,8 +77,9 @@ def _extend_partitions(end: int) -> None:
 
 
 def check_order(n) -> None:
-    """Raise DomainError unless the truncation order ``n`` is an int >= 0."""
-    if not isinstance(n, int):
+    """Raise DomainError unless the truncation order ``n`` is an int >= 0: of
+    class int, as in a label, so a bool is refused."""
+    if n.__class__ is not int:
         raise DomainError(f"truncation order must be an integer, got {n!r}")
     if n < 0:
         raise DomainError(f"truncation order must be >= 0, got {n}")
@@ -87,7 +88,7 @@ def check_order(n) -> None:
 def partition_numbers(n: int) -> list[int]:
     """Partition numbers p(0)..p(n) by Euler's pentagonal-number recurrence,
     cached across calls; a copy of the cache, empty for n < 0."""
-    if isinstance(n, int) and n < 0:
+    if n.__class__ is int and n < 0:
         return []
     check_order(n)
     with _partitions_lock:

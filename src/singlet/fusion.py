@@ -4,9 +4,10 @@ One table, ``_CLOSED_FORMS``, gives every product of two labels: a
 private rule per species pair, on two normalized labels in canonical order
 (M <= F <= P).  :func:`fuse` is the one public way to take a product; it
 validates and normalizes each label once, at its boundary, so the rules
-check nothing.  Projective x projective sums projective x simple over the
-composition factors of one operand, since P x - is exact and lands in
-projectives.  Tensoring is exact, so the Grothendieck-ring product
+check nothing.  Of several bad labels, every product reports the first of
+``x`` in canonical order, else the first of ``y`` (``_operand``).
+Projective x projective sums projective x simple over the composition
+factors of one operand, since P x - is exact and lands in projectives.  Tensoring is exact, so the Grothendieck-ring product
 (:func:`k_product`) is the class of the fusion product of the classes.
 Inverting the injective projective-to-K-class map by a top-down peel
 (:func:`projective_decompose`) derives every product with a projective
@@ -58,7 +59,6 @@ from .modules import (
     normalize_atom,
     shift,
     sort_key,
-    term_pairs,
 )
 from .weights import Params
 
@@ -207,6 +207,14 @@ def _fusable(params: Params, atom):
     return atom
 
 
+def _operand(params: Params, x) -> ModuleExpr:
+    """An operand of a product (an expression or a single label) with every
+    label normalized and fusable; raises at its first bad label in canonical
+    order.  Every product reads x before y, so of several bad labels it
+    reports the first of x, else the first of y."""
+    return as_expr(x).expand(lambda atom: (_fusable(params, atom),))
+
+
 class _Table:
     """The interned fusable labels of one :class:`Params`.
 
@@ -306,20 +314,17 @@ def fuse(params: Params, x, y) -> ModuleExpr:
     id table of ``params``, multiplied by :meth:`_Table.product`, and the
     ids of the sum are read back as labels once.  Equal labels of
     different products are one object, so the sum and the comparison of
-    products meet them by identity.  Errors are those of the canonical
-    nested loop: the first bad label among the first term of ``x`` (in
-    sorted order), then every term of ``y``, then the rest of ``x``;
-    ``fuse(0, y)`` is 0 whatever ``y`` holds.
+    products meet them by identity.  Errors are those of :func:`_operand`:
+    the first bad label of ``x`` in canonical order, else the first of
+    ``y``, a zero ``x`` included.
     """
-    if isinstance(x, ModuleExpr) and not x:
-        return ModuleExpr.zero()
     t = id_table(params)
     try:
         xs, ys = t.ids(x), t.ids(y)
     except SingletError:
-        # Some label is bad: the canonical loop raises the one to report.
-        for _ in term_pairs(x, y, lambda atom: _fusable(params, atom)):
-            pass
+        # Some label is bad: the operands, read in order, raise the one to report.
+        _operand(params, x)
+        _operand(params, y)
         raise
     atoms = t.atoms
     return ModuleExpr._trusted({atoms[k]: mult for k, mult in t.product(xs, ys).items()})
@@ -456,8 +461,6 @@ class _Ladder:
 
 def chebyshev_fuse(params: Params, x, y) -> ModuleExpr:
     """Recursion-oracle tensor product; must agree with :func:`fuse`."""
+    xs, ys = _operand(params, x).terms(), _operand(params, y).terms()
     ladder = _Ladder(params)
-    return ModuleExpr.combine(
-        (ma * mb, ladder.pair(a, b))
-        for a, ma, b, mb in term_pairs(x, y, lambda atom: _fusable(params, atom))
-    )
+    return ModuleExpr.combine((ma * mb, ladder.pair(a, b)) for a, ma in xs for b, mb in ys)

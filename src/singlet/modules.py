@@ -15,6 +15,9 @@ within a species, on equal fields.  Every label is a ``PairLabel`` of two
 ints (r, s) or a ``CoordLabel`` of one rational q; these two state that
 equality and hash without building a field tuple, and a ``CoordLabel``
 compares the (numerator, denominator) ints of q and caches its hash.
+A label checks its fields once, when it is made, so a label equal to a
+valid one is valid and no cache keyed by labels checks them again; the
+rules that depend on p are :func:`normalize_atom`'s.
 
 ``Proj(r, p)`` and ``FockAtypical(r, p)`` are never stored; the label
 conventions collapse both to ``MSimple(r, p)`` in :func:`normalize_atom` only.
@@ -51,7 +54,6 @@ __all__ = [
     "ModuleExpr",
     "as_label",
     "as_expr",
-    "term_pairs",
     "label",
     "sort_key",
     "normalize_atom",
@@ -74,11 +76,15 @@ _setattr = object.__setattr__
 
 
 class PairLabel(Value):
-    """A label ``Name(r, s)`` of two ints."""
+    """A label ``Name(r, s)`` of two ints.  An int is of class int: a float
+    or a bool equal to an int hashes as that int, so a label made of one
+    would stand in a cache for the int label; it is refused here, once."""
 
     __slots__ = _fields = ("r", "s")
 
     def __init__(self, r: int, s: int):
+        if r.__class__ is not int or s.__class__ is not int:
+            raise DomainError(f"label {self._TAG}({r},{s}) needs integer r and s")
         _setattr(self, "r", r)
         _setattr(self, "s", s)
 
@@ -174,9 +180,8 @@ def sort_key(atom):
 
 
 def _check_rs(p: int, r, s, what: str):
-    """Raise DomainError unless r and s are ints and 1 <= s <= p.  An int is
-    of class int: a float or a bool equal to an int hashes as that int, so a
-    label made of one would stand in a cache for the int label."""
+    """Raise DomainError, naming ``what``, unless r and s are ints (by the
+    rule of :class:`PairLabel`) and 1 <= s <= p."""
     if r.__class__ is not int or s.__class__ is not int:
         raise DomainError(f"{what} needs integer r and s, got r={r!r}, s={s!r}")
     if not 1 <= s <= p:
@@ -184,15 +189,14 @@ def _check_rs(p: int, r, s, what: str):
 
 
 def normalize_atom(params: Params, atom):
-    """Validate r and s (ints, by the rule of :func:`_check_rs`) and the
-    s-range against p, and collapse the s = p conventions."""
+    """Check the rules of a label that depend on p: the s-range, and the
+    s = p conventions, which it collapses.  That r and s are ints is the
+    label's own rule, checked when it was made."""
     p = params.p
     if isinstance(atom, FockTypical):
         return atom
     if not isinstance(atom, (MSimple, Proj, FockAtypical, GenVerma)):
         raise DomainError(f"not a singlet module label: {atom!r}")
-    if atom.r.__class__ is not int or atom.s.__class__ is not int:
-        raise DomainError(f"label {label(atom)} needs integer r and s")
     if not 1 <= atom.s <= p:
         raise DomainError(f"label {label(atom)} needs 1 <= s <= {p}")
     if isinstance(atom, (Proj, FockAtypical)) and atom.s == p:
@@ -345,22 +349,6 @@ def as_label(x):
 def as_expr(x) -> ModuleExpr:
     """``x`` if it is an expression, else the one-term sum of the label ``x``."""
     return x if isinstance(x, ModuleExpr) else ModuleExpr.of(as_label(x))
-
-
-def term_pairs(x, y, normalize):
-    """Every pair of terms of two expressions, as ``(a, ma, b, mb)`` with the
-    atoms passed through ``normalize``, in canonical order.
-
-    ``y`` is normalized once, right after the first term of ``x``, so the
-    first error raised is the one a nested loop over ``x`` and ``y`` raises.
-    """
-    ys = None
-    for a, ma in as_expr(x).terms():
-        a = normalize(a)
-        if ys is None:
-            ys = [(normalize(b), mb) for b, mb in as_expr(y).terms()]
-        for b, mb in ys:
-            yield a, ma, b, mb
 
 
 def shift(params: Params, atom, k: int):

@@ -10,7 +10,7 @@ current orbit; its module labels are orbits of singlet labels:
 
 Induction is defined exactly on local singlet modules (m*q integral).  It is
 a tensor functor, so an orbifold product is computed in one way: lift both
-labels to singlet representatives, fuse there, and induce back.  The
+operands to singlet representatives, fuse there, and induce back.  The
 ``orbifold`` check suite and the property tests require the result not to
 depend on the chosen lifts.
 
@@ -42,7 +42,6 @@ from .modules import (
     normalize_atom,
     shift,
     sort_key,
-    term_pairs,
 )
 from .weights import Params, Value, exact
 
@@ -81,7 +80,7 @@ class OrbifoldParams(Value):
         _setattr(self, "m", m)
         _setattr(self, "singlet", Params(p))
         _setattr(self, "images", {})
-        if not isinstance(m, int) or m < 1:
+        if m.__class__ is not int or m < 1:
             raise DomainError(f"m must be an integer >= 1, got {m!r}")
 
     @property
@@ -197,14 +196,18 @@ def lift_atom(op: OrbifoldParams, atom):
 def orbifold_fuse(op: OrbifoldParams, x, y) -> ModuleExpr:
     """Tensor product of orbifold expressions.
 
-    Each pair of summands is lifted to its canonical singlet representatives
-    (:func:`lift_atom`), fused there, and induced back.  Induction is a
-    tensor functor, so any other choice of lifts gives the same result.
+    Both operands are lifted term by term to their canonical singlet
+    representatives (:func:`lift_atom`), fused there as whole sums, and the
+    product is induced back once.  Induction is a tensor functor, so any
+    other choice of lifts gives the same result.  Errors follow the rule of
+    every product: the first bad label of ``x`` in canonical order, else
+    the first of ``y``.
     """
-    return ModuleExpr.combine(
-        (ma * mb, induce(op, fuse(op.singlet, lift_atom(op, a), lift_atom(op, b))))
-        for a, ma, b, mb in term_pairs(x, y, lambda atom: normalize_orbifold_atom(op, atom))
-    )
+
+    def lift(z) -> ModuleExpr:
+        return as_expr(z).expand(lambda atom: (lift_atom(op, normalize_orbifold_atom(op, atom)),))
+
+    return induce(op, fuse(op.singlet, lift(x), lift(y)))
 
 
 def orbifold_projective_cover(op: OrbifoldParams, w) -> tuple:

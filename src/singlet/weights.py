@@ -87,7 +87,7 @@ class Params(Value):
     __slots__ = _fields = ("p",)
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or p < 2:
+        if p.__class__ is not int or p < 2:
             raise DomainError(f"p must be an integer >= 2, got {p!r}")
         _setattr(self, "p", p)
 

@@ -3,8 +3,8 @@
 from fractions import Fraction
 
 from singlet.characters import CharacterSum, QSeries, partition_numbers
-from singlet.errors import DomainError, NotProjectiveClass
-from singlet.fusion import _CLOSED_FORMS, _fusable, projective_decompose
+from singlet.errors import DomainError, NotProjectiveClass, SingletError
+from singlet.fusion import _CLOSED_FORMS, _fusable, fuse, projective_decompose
 from singlet.modules import (
     FockAtypical,
     FockTypical,
@@ -17,10 +17,18 @@ from singlet.modules import (
     lowest_weight,
     normalize_atom,
     sort_key,
-    term_pairs,
 )
-from singlet.orbifold import VTypical, WSimple
+from singlet.orbifold import VTypical, WSimple, induce, lift_atom, normalize_orbifold_atom
 from singlet.weights import h_rs
+
+
+def outcome(fn, *args, message=True):
+    """The result of ``fn(*args)``, or the type (and message) of the
+    SingletError it raises."""
+    try:
+        return fn(*args)
+    except SingletError as exc:
+        return (type(exc), str(exc)) if message else type(exc)
 
 
 def orbit_lift(op, atom, n):
@@ -258,20 +266,35 @@ _ORACLE_CLOSED_FORMS = (
 
 
 def fuse_by_term_pairs(params, x, y):
-    """Oracle for ``fusion.fuse``: the canonical nested loop over the sorted
-    terms of x and y, each atom normalized as the loop reaches it, and each
-    pair's row built afresh, with no id table and no cache: the closed form
-    of the pair in canonical order for the pairs in ``_ORACLE_CLOSED_FORMS``,
-    and, for P x M and P x P, the peel of the K-ring product summed pair by
-    pair over the simple factors, a derivation that does not use the closed
-    forms of those two pairs."""
+    """Oracle for ``fusion.fuse``: the sorted terms of x are normalized one by
+    one, then those of y, so the first bad label of x, else of y, raises;
+    then a nested loop over the pairs builds each pair's row afresh, with no
+    id table and no cache: the closed form of the pair in canonical order
+    for the pairs in ``_ORACLE_CLOSED_FORMS``, and, for P x M and P x P, the
+    peel of the K-ring product summed pair by pair over the simple factors,
+    a derivation that does not use the closed forms of those two pairs."""
+    xs = [(_fusable(params, a), ma) for a, ma in as_expr(x).terms()]
+    ys = [(_fusable(params, b), mb) for b, mb in as_expr(y).terms()]
     pieces = []
-    for a, ma, b, mb in term_pairs(x, y, lambda atom: _fusable(params, atom)):
-        if sort_key(b) < sort_key(a):
-            a, b = b, a
-        if (type(a), type(b)) in _ORACLE_CLOSED_FORMS:
-            row = _CLOSED_FORMS[type(a), type(b)](params, a, b)
-        else:
-            row = projective_decompose(params, k_product_by_pairs(params, a, b))
-        pieces.append((ma * mb, row))
+    for a, ma in xs:
+        for b, mb in ys:
+            lo, hi = (b, a) if sort_key(b) < sort_key(a) else (a, b)
+            if (type(lo), type(hi)) in _ORACLE_CLOSED_FORMS:
+                row = _CLOSED_FORMS[type(lo), type(hi)](params, lo, hi)
+            else:
+                row = projective_decompose(params, k_product_by_pairs(params, lo, hi))
+            pieces.append((ma * mb, row))
+    return ModuleExpr.combine(pieces)
+
+
+def orbifold_fuse_by_term_pairs(op, x, y):
+    """Oracle for ``orbifold.orbifold_fuse``: the sum over every pair of
+    terms of the induced singlet product of the two canonical lifts, one
+    product and one induction per pair."""
+    xs = [(lift_atom(op, normalize_orbifold_atom(op, a)), ma) for a, ma in as_expr(x).terms()]
+    ys = [(lift_atom(op, normalize_orbifold_atom(op, b)), mb) for b, mb in as_expr(y).terms()]
+    pieces = []
+    for a, ma in xs:
+        for b, mb in ys:
+            pieces.append((ma * mb, induce(op, fuse(op.singlet, a, b))))
     return ModuleExpr.combine(pieces)

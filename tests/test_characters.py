@@ -176,7 +176,7 @@ def test_a_negative_order_is_refused(p2, call):
     ],
     ids=["partition_numbers", "ch_expr", "ch_indec", "ch_vir_irr", "orbifold_char_expr"],
 )
-@pytest.mark.parametrize("n", [5.0, "5", Fraction(5), None])
+@pytest.mark.parametrize("n", [5.0, "5", Fraction(5), None, True])
 def test_a_non_int_order_is_refused(call, n):
     with pytest.raises(DomainError) as err:
         call(n)

@@ -27,10 +27,12 @@ from singlet.modules import (
     MSimple,
     Proj,
     k_class,
-    label,
     shift,
 )
+from singlet.orbifold import OrbifoldParams, RProj, VTypical, WSimple, orbifold_fuse
 from singlet.weights import Params
+
+from helpers import outcome
 
 
 def F(q):
@@ -286,19 +288,26 @@ def test_fuse_examples(p, x, y, expected):
     assert fuse(Params(p), x, y) == expr(*expected)
 
 
-# A float or a bool equals an int and hashes as it; a label made of one must
-# be refused before the id tables keep it in place of the int label.
-NON_INT_LABELS = [MSimple(1.0, 2), MSimple(1, 2.0), MSimple(1.5, 2), Proj(True, 1)]
+# A float or a bool equals an int and hashes as it, so a label made of one
+# would stand in the id tables for the int label; it is refused when made.
+NON_INT_FIELDS = [
+    pytest.param(MSimple, 1.0, 2, id="M(1.0,2)"),
+    pytest.param(MSimple, 1, 2.0, id="M(1,2.0)"),
+    pytest.param(MSimple, 1.5, 2, id="M(1.5,2)"),
+    pytest.param(Proj, True, 1, id="P(True,1)"),
+]
 
 
 @pytest.mark.parametrize("product", [fuse, chebyshev_fuse])
-@pytest.mark.parametrize("bad", NON_INT_LABELS, ids=label)
-def test_a_refused_non_int_label_leaves_later_products_printing_ints(fresh_rows, product, bad):
+@pytest.mark.parametrize("species, r, s", NON_INT_FIELDS)
+def test_a_refused_non_int_label_leaves_later_products_printing_ints(fresh_rows, product, species, r, s):
     p3 = Params(3)
+    # M(1,2) and P(1,1) are interned first: a label equal to one of them
+    # would hit the table and skip every check there.
+    assert str(product(p3, MSimple(1, 2), MSimple(1, 2))) == "M(1,1) + M(1,3)"
+    assert str(product(p3, MSimple(1, 2), Proj(1, 1))) == "M(0,3) + M(2,3) + P(1,2)"
     with pytest.raises(DomainError, match=r"needs integer r and s$"):
-        product(p3, bad, MSimple(1, 2))
-    with pytest.raises(DomainError, match=r"needs integer r and s$"):
-        product(p3, MSimple(1, 2), ModuleExpr.of(F("1/2"), *NON_INT_LABELS))
+        species(r, s)
     assert str(product(p3, MSimple(1, 2), MSimple(1, 2))) == "M(1,1) + M(1,3)"
     assert str(product(p3, MSimple(1, 2), Proj(1, 1))) == "M(0,3) + M(2,3) + P(1,2)"
 
@@ -314,9 +323,9 @@ def test_fuse_rejects_structural_species(p2):
 @pytest.mark.parametrize(
     "x, y, error, atom",
     [
-        # The first bad atom of a nested loop over x, then y, is reported:
-        # x[0], then every term of y, then x[1], ...
-        ((MSimple(1, 1), GenVerma(1, 1)), (FockAtypical(0, 1),), UnsupportedSpecies, "Fa(0,1)"),
+        # The first bad label of x in canonical order is reported, else the
+        # first of y.
+        ((MSimple(1, 1), FockAtypical(0, 1)), (GenVerma(1, 1),), UnsupportedSpecies, "Fa(0,1)"),
         ((GenVerma(1, 1),), (MSimple(1, 3),), UnsupportedSpecies, "G(1,1)"),
         ((MSimple(1, 1), Proj(0, 1)), (MSimple(1, 1), MSimple(1, 3)), DomainError, "M(1,3)"),
         ((MSimple(1, 1), GenVerma(1, 1)), (), UnsupportedSpecies, "G(1,1)"),
@@ -325,7 +334,38 @@ def test_fuse_rejects_structural_species(p2):
 def test_first_error_follows_term_order(p2, product, x, y, error, atom):
     with pytest.raises(error, match=re.escape(atom)):
         product(p2, ModuleExpr.of(*x), ModuleExpr.of(*y))
-    assert product(p2, ModuleExpr.zero(), ModuleExpr.of(*y)) == ModuleExpr.zero()
+    # A zero x is an operand like any other: y is read as a good x reads it.
+    y = ModuleExpr.of(*y)
+    assert outcome(product, p2, ModuleExpr.zero(), y) == outcome(product, p2, MSimple(1, 1), y)
+
+
+# The rule of fuse and chebyshev_fuse, at p = 2, m = 2: the first bad label
+# of x in canonical order, else the first of y, a zero x included.
+ORBIFOLD_FIRST_ERRORS = {
+    "bad x[1] before bad y": (
+        (WSimple(0, 1), WSimple(1, 3)),
+        (RProj(1, 5),),
+        "W label needs 1 <= s <= 2, got s=3",
+    ),
+    "bad y[0] before bad y[1]": (
+        (WSimple(0, 1),),
+        (VTypical(Fraction(1, 3)), RProj(1, 5)),
+        "V coordinate must have m*q integral, got q=1/3 at m=2",
+    ),
+    "singlet label in x": (
+        (MSimple(1, 1), RProj(0, 1)),
+        (),
+        "not an orbifold module label: MSimple(r=1, s=1)",
+    ),
+    "zero x, bad y": ((), (RProj(1, 1), WSimple(0, 3)), "W label needs 1 <= s <= 2, got s=3"),
+}
+
+
+@pytest.mark.parametrize("x, y, message", ORBIFOLD_FIRST_ERRORS.values(), ids=ORBIFOLD_FIRST_ERRORS)
+def test_orbifold_first_error_follows_term_order(x, y, message):
+    with pytest.raises(DomainError) as exc:
+        orbifold_fuse(OrbifoldParams(2, 2), ModuleExpr.of(*x), ModuleExpr.of(*y))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(

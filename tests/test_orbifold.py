@@ -40,12 +40,16 @@ from singlet.weights import Params
 
 
 def test_a_refused_non_int_label_leaves_later_inductions_printing_ints():
-    # The images of op are kept per singlet label; M(1.0,1) equals M(1,1).
+    # The images of op are kept per singlet label, so M(1.0,1), which equals
+    # M(1,1), would be read from there once M(1,1) was induced: no such
+    # label can be made.
     op = OrbifoldParams(3, 2)
-    for bad in (MSimple(1.0, 1), MSimple(1, 1.0), Proj(True, 1)):
-        with pytest.raises(DomainError, match=r"needs integer r and s$"):
-            induce(op, bad)
     assert str(induce(op, ModuleExpr.of(MSimple(1, 1), Proj(1, 1)))) == "W(1,1) + R(1,1)"
+    for species, r, s in ((MSimple, 1.0, 1), (MSimple, 1, 1.0), (Proj, True, 1)):
+        with pytest.raises(DomainError, match=r"needs integer r and s$"):
+            species(r, s)
+    assert str(induce(op, ModuleExpr.of(MSimple(1, 1), Proj(1, 1)))) == "W(1,1) + R(1,1)"
+    assert str(orbifold_fuse(op, WSimple(1, 2), WSimple(0, 2))) == "W(0,1) + W(0,3)"
 
 from helpers import ch_expr_by_terms, orbit_lift
 
@@ -65,6 +69,10 @@ def test_params_validation():
         OrbifoldParams(1, 1)
     with pytest.raises(DomainError):
         OrbifoldParams(2, 0)
+    # A bool equals an int, but m is an int of class int, as r and s are.
+    with pytest.raises(DomainError) as exc:
+        OrbifoldParams(2, True)
+    assert str(exc.value) == "m must be an integer >= 1, got True"
 
 
 def test_params_hold_one_singlet_params():

@@ -252,6 +252,12 @@ def test_cli_dual_reports_the_first_bad_term(text):
     assert run_cli("--p", "3", "dual", text) == (1, "", "error: dual is not defined for G(1,1)\n")
 
 
+def test_cli_fuse_reports_the_first_bad_label_of_x_before_y():
+    # The first operand is read first: its G(1,1) is named, not y's Fa(0,1).
+    got = run_cli("--p", "2", "fuse", "M(1,1) + G(1,1)", "Fa(0,1)")
+    assert got == (1, "", "error: fusion is not defined for G(1,1)\n")
+
+
 @pytest.mark.parametrize("text", ["W(1,1)", "V(1/2)"])
 def test_cli_loewy_of_an_orbifold_simple_is_the_label(text):
     assert run_cli("--p", "2", "--m", "2", "loewy", text) == (0, f"{text}\n", "")

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlet.characters import ch_expr
-from singlet.errors import SingletError
 from singlet.fusion import chebyshev_fuse, fuse, k_product, projective_decompose
 from singlet.modules import (
     FockAtypical,
@@ -26,6 +25,7 @@ from singlet.modules import (
 )
 from singlet.orbifold import (
     OrbifoldParams,
+    WSimple,
     induce,
     orbifold_char_expr,
     orbifold_fuse,
@@ -42,7 +42,9 @@ from helpers import (
     k_product_by_pairs,
     laurent_image,
     laurent_product,
+    orbifold_fuse_by_term_pairs,
     orbit_lift,
+    outcome,
     projective_decompose_by_chains,
     verma_factors_by_cases,
 )
@@ -211,21 +213,12 @@ def projective_classes(draw):
     return Params(p), k
 
 
-def _outcome(fn, *args, message=True):
-    """The result of ``fn(*args)``, or the type (and message) of the
-    SingletError it raises."""
-    try:
-        return fn(*args)
-    except SingletError as exc:
-        return (type(exc), str(exc)) if message else type(exc)
-
-
 @PROPERTY_SETTINGS
 @given(projective_classes())
 def test_projective_decompose_matches_chain_solver(case):
     # The two solvers word their failures differently; only the type must agree.
     params, k = case
-    assert _outcome(projective_decompose, params, k, message=False) == _outcome(
+    assert outcome(projective_decompose, params, k, message=False) == outcome(
         projective_decompose_by_chains, params, k, message=False
     )
 
@@ -245,7 +238,7 @@ def k_product_cases(draw):
 @given(k_product_cases())
 def test_k_product_matches_pair_loop(case):
     params, a, b = case
-    assert _outcome(k_product, params, a, b) == _outcome(k_product_by_pairs, params, a, b)
+    assert outcome(k_product, params, a, b) == outcome(k_product_by_pairs, params, a, b)
 
 
 @st.composite
@@ -276,7 +269,7 @@ def fuse_cases(draw):
 @given(fuse_cases())
 def test_fuse_matches_term_pair_loop(case):
     params, x, y = case
-    assert _outcome(fuse, params, x, y) == _outcome(fuse_by_term_pairs, params, x, y)
+    assert outcome(fuse, params, x, y) == outcome(fuse_by_term_pairs, params, x, y)
 
 
 def _orbifold_labels(op: OrbifoldParams):
@@ -303,6 +296,23 @@ def test_orbifold_fuse_does_not_depend_on_the_lifts(case):
     op, a, k1, b, k2 = case
     lifted = fuse(op.singlet, orbit_lift(op, a, k1), orbit_lift(op, b, k2))
     assert induce(op, lifted) == orbifold_fuse(op, a, b)
+
+
+@st.composite
+def orbifold_sum_pairs(draw):
+    """Two random orbifold sums with multiplicities; a W label may come
+    with its r not yet reduced mod 2m."""
+    op = OrbifoldParams(draw(st.integers(2, 6)), draw(st.integers(1, 4)))
+    labels = st.one_of(_orbifold_labels(op), st.builds(WSimple, _R, st.integers(1, op.p)))
+    terms = st.lists(st.tuples(labels, st.integers(1, 3)), min_size=1, max_size=4)
+    return op, ModuleExpr(draw(terms)), ModuleExpr(draw(terms))
+
+
+@PROPERTY_SETTINGS
+@given(orbifold_sum_pairs())
+def test_orbifold_fuse_matches_term_pair_sum(case):
+    op, x, y = case
+    assert orbifold_fuse(op, x, y) == orbifold_fuse_by_term_pairs(op, x, y)
 
 
 @PROPERTY_SETTINGS

@@ -23,7 +23,7 @@ from singlet.modules import (
     verma_quotient_factors,
     virasoro_induce,
 )
-from singlet.orbifold import OrbifoldParams, r_proj, w_simple
+from singlet.orbifold import OrbifoldParams, RProj, WSimple, r_proj, w_simple
 from singlet.weights import Params
 
 F12 = FockTypical(Fraction(1, 2))
@@ -272,8 +272,21 @@ def test_virasoro_induce_domain(p2):
         virasoro_induce(p2, 1, 3)
 
 
+@pytest.mark.parametrize(
+    "species", [MSimple, Proj, FockAtypical, GenVerma, WSimple, RProj], ids=lambda c: c._TAG
+)
+@pytest.mark.parametrize("r, s", [(1.0, 1), (1, True), ("1", 1)], ids=["float", "bool", "str"])
+def test_pair_labels_refuse_a_non_int_field(species, r, s):
+    # A float or a bool equals an int and hashes as it: a label made of one
+    # would stand in every cache for the int label, so none is made.
+    with pytest.raises(DomainError) as exc:
+        species(r, s)
+    assert str(exc.value) == f"label {species._TAG}({r},{s}) needs integer r and s"
+
+
 # Every s-range check reports "{what} needs 1 <= s <= {top}, got s={s}", and
-# refuses an r or s that is not of class int before that.
+# refuses an r or s that is not of class int before that; a label refuses
+# one when it is made.
 S_RANGE_CALLS = {
     "verma_quotient_factors": (
         lambda: verma_quotient_factors(Params(3), 1, 4),
