@@ -214,6 +214,7 @@ def _suite_grading(params: Params) -> SuiteResult:
 def _suite_characters(params: Params, order: int) -> SuiteResult:
     res = SuiteResult("characters")
     p = params.p
+    part = partition_numbers(order)
     for r in range(-3, 5):
         for s in range(1, p):
             fa = FockAtypical(r, s)
@@ -225,7 +226,6 @@ def _suite_characters(params: Params, order: int) -> SuiteResult:
             # Independent series oracle: a length-2 Fock module has the
             # graded dimension of a Verma module, and P(r,s) is filtered by
             # Fa(r,s) and Fa(r-1,p-s), so it has two of them.
-            part = partition_numbers(order)
             lws = [modules.lowest_weight(params, a) for a in (fa, FockAtypical(r - 1, p - s))]
             base = min(lws)
             shifts = [int(lw - base) for lw in lws]

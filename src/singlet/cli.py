@@ -23,7 +23,7 @@ import sys
 from types import SimpleNamespace
 
 from . import checks
-from .characters import ch_expr
+from .characters import ch_expr, check_order
 from .errors import ExprSemanticError, SingletError
 from .fusion import fuse
 from .modules import (
@@ -105,11 +105,9 @@ class _Call:
 
 
 def _order(args, default: int) -> int:
-    if args.order is None:
-        return default
-    if args.order < 0:
-        raise SingletError(f"truncation order must be >= 0, got {args.order}")
-    return args.order
+    order = default if args.order is None else args.order
+    check_order(order)
+    return order
 
 
 def _expr(expr: ModuleExpr) -> _Output:

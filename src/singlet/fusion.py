@@ -7,8 +7,9 @@ validates and normalizes each label once, at its boundary, so the rules
 check nothing.  Of several bad labels, every product reports the first of
 ``x`` in canonical order, else the first of ``y`` (``_operand``).
 Projective x projective sums projective x simple over the composition
-factors of one operand, since P x - is exact and lands in projectives.  Tensoring is exact, so the Grothendieck-ring product
-(:func:`k_product`) is the class of the fusion product of the classes.
+factors of one operand, since P x - is exact and lands in projectives.
+Tensoring is exact, so the Grothendieck-ring product (:func:`k_product`)
+is the class of the fusion product of the classes.
 Inverting the injective projective-to-K-class map by a top-down peel
 (:func:`projective_decompose`) derives every product with a projective
 operand a second way, and the ``kring`` suite compares the two.
@@ -27,11 +28,13 @@ per y and unordered pair {x, z}, and records the result for both orders.
 it reduces every product to the degenerate-field recursion
 ``X x M(1,s+1) = (X x M(1,s)) x M(1,2) - X x M(1,s-1)`` together with
 simple-current index shifts, starting from hand-written ``M(1,2) x -``
-base products only.  Its ladders run on int ids of their own: each call
-makes one ``_Ladder``, whose rungs are ``{id: mult}`` dicts and which
-makes each label's ``M(1,2)`` row once, on first use.  Nothing is kept
-after the call, and the oracle never reads the id tables or cached rows
-of :func:`fuse`.
+base products only.  M(1,2) x - commutes with J = M(2,1), so each ladder
+runs on keys ``(class, d, b)`` relative to its start label, standing for
+class(r + d, b), or F(q + d) when b = 0, and a base row (``_m12_row``)
+depends only on the class and b: at most 2p rows per call, made on first
+use and dropped with the call.  Labels are made only for the answer,
+from the start label moved by :func:`modules.shift`.  The oracle never
+reads the id tables or cached rows of :func:`fuse`.
 """
 
 from __future__ import annotations
@@ -333,100 +336,86 @@ def fuse(params: Params, x, y) -> ModuleExpr:
 # --- independent recursion oracle ---------------------------------------
 
 
-def _m12_atom(params: Params, atom) -> ModuleExpr:
-    """Hand-written base products M(1,2) x atom."""
-    p = params.p
-    if isinstance(atom, FockTypical):
-        return ModuleExpr.of(FockTypical(atom.q - 1), FockTypical(atom.q + 1))
-    if isinstance(atom, MSimple):
-        if atom.s == p:
-            return ModuleExpr.of(normalize_atom(params, Proj(atom.r, p - 1)))
-        return ModuleExpr.of(
-            *(MSimple(atom.r, s2) for s2 in (atom.s - 1, atom.s + 1) if 1 <= s2 <= p)
-        )
-    # Proj(r, s), 1 <= s <= p-1; the s = p-1 product picks up the simple
+def _m12_row(p: int, cls, b: int) -> list:
+    """Hand-written base product M(1,2) x cls(r,b), or M(1,2) x F(q) when
+    b = 0, as ``(class, d, b2, mult)`` terms: mult copies of class(r + d, b2),
+    or of F(q + d) when b2 = 0.  M(1,2) commutes with J, so the row is the
+    same at every r (or q)."""
+    if cls is FockTypical:
+        return [(FockTypical, -1, 0, 1), (FockTypical, 1, 0, 1)]
+    if cls is MSimple:
+        if b == p:
+            return [(Proj, 0, p - 1, 1)]
+        return [(MSimple, 0, b2, 1) for b2 in (b - 1, b + 1) if 1 <= b2 <= p]
+    # Proj(r, b), 1 <= b <= p-1; the b = p-1 product picks up the simple
     # projective twice, and "P(r,0)" stands for M(r-1,p) + M(r+1,p).
-    r, s = atom.r, atom.s
-    if s == p - 1:
-        return ModuleExpr.of(MSimple(r, p), MSimple(r, p), *_proj_edge(p, r, p - 2))
-    return ModuleExpr.of(*_proj_edge(p, r, s - 1), *_proj_edge(p, r, s + 1))
+    if b == p - 1:
+        return [(MSimple, 0, p, 2), *_proj_edge(p, p - 2)]
+    return [*_proj_edge(p, b - 1), *_proj_edge(p, b + 1)]
 
 
-def _proj_edge(p: int, r: int, k: int) -> tuple:
+def _proj_edge(p: int, k: int) -> list:
     if k == 0:
-        return (MSimple(r - 1, p), MSimple(r + 1, p))
-    return (Proj(r, k),)
+        return [(MSimple, -1, p, 1), (MSimple, 1, p, 1)]
+    return [(Proj, 0, k, 1)]
+
+
+def _at(start, key):
+    """The label of a ladder key ``(class, d, b)`` that starts at ``start``:
+    class(r + d, b), or F(q + d) when b = 0."""
+    cls, d, b = key
+    return cls(start.r + d, b) if b else FockTypical(start.q + d)
+
+
+def _sub(start, acc: dict, rung: dict, n: int = 1) -> dict:
+    """acc - n * rung, in place, on a ladder from ``start``; a count that
+    would go negative raises OracleSubtractionFailure."""
+    for key, mult in rung.items():
+        left = acc.get(key, 0) - n * mult
+        if left < 0:
+            raise OracleSubtractionFailure(
+                f"multiset subtraction went negative at {label(_at(start, key))}"
+            )
+        if left:
+            acc[key] = left
+        else:
+            del acc[key]
+    return acc
 
 
 class _Ladder:
-    """The recursion ladders of one :func:`chebyshev_fuse` call, on int ids.
+    """The recursion ladders of one :func:`chebyshev_fuse` call.  A rung is
+    a ``{key: mult}`` dict on the keys of :func:`_at`, and ``rows[class, b]``
+    is the base row of :func:`_m12_row`, made on first use."""
 
-    ``index`` and ``atoms`` intern the labels the ladders meet, and
-    ``rows[i]`` is the ``M(1,2) x -`` row of id ``i`` as ``(id, mult)``
-    pairs, made from :func:`_m12_atom` on first use and reused by every
-    later rung.  A rung is an ``{id: mult}`` dict.  The object belongs to
-    one call, so nothing it holds outlives the call, and it shares nothing
-    with the id tables of :func:`fuse`.
-    """
-
-    __slots__ = ("params", "index", "atoms", "rows")
+    __slots__ = ("params", "rows")
 
     def __init__(self, params: Params):
         self.params = params
-        self.index: dict = {}
-        self.atoms: list = []
-        self.rows: list = []
-
-    def intern(self, atom) -> int:
-        i = self.index.get(atom)
-        if i is None:
-            i = self.index[atom] = len(self.atoms)
-            self.atoms.append(atom)
-            self.rows.append(None)
-        return i
+        self.rows: dict = {}
 
     def m12(self, rung: dict) -> dict:
         """M(1,2) x rung."""
         acc: dict = {}
         get = acc.get
         rows = self.rows
-        for i, mult in rung.items():
-            row = rows[i]
+        for (cls, d, b), mult in rung.items():
+            row = rows.get((cls, b))
             if row is None:
-                base = _m12_atom(self.params, self.atoms[i])
-                # A list: tuple() of a generator allocates a larger tuple and
-                # shrinks it, so each freed row went to the free list of a
-                # smaller size than it was drawn from.  Those lists grew call
-                # by call and raised the peak RSS of `check` at p = 3 by
-                # about 0.1 MB.
-                row = rows[i] = [(self.intern(atom), n) for atom, n in base.items()]
-            for k, n in row:
-                acc[k] = get(k, 0) + mult * n
-        return acc
-
-    def sub(self, acc: dict, rung: dict, n: int = 1) -> dict:
-        """acc - n * rung, in place; a count that would go negative raises
-        OracleSubtractionFailure."""
-        for k, mult in rung.items():
-            left = acc.get(k, 0) - n * mult
-            if left < 0:
-                raise OracleSubtractionFailure(
-                    f"multiset subtraction went negative at {label(self.atoms[k])}"
-                )
-            if left:
-                acc[k] = left
-            else:
-                del acc[k]
+                row = rows[cls, b] = _m12_row(self.params.p, cls, b)
+            for cls2, d2, b2, n in row:
+                key = (cls2, d + d2, b2)
+                acc[key] = get(key, 0) + mult * n
         return acc
 
     def t_ladder(self, atom, s: int) -> dict:
         """atom x M(1,s), by the degenerate-field recursion."""
-        prev = {self.intern(atom): 1}
+        prev = {(type(atom), 0, getattr(atom, "s", 0)): 1}
         if s == 1:
             return prev
         cur = self.m12(prev)
         for _ in range(s - 2):
-            prev, cur = cur, self.sub(self.m12(cur), prev)
+            prev, cur = cur, _sub(atom, self.m12(cur), prev)
         return cur
 
     def u_ladder(self, atom, s: int) -> dict:
@@ -436,27 +425,28 @@ class _Ladder:
         above = self.t_ladder(atom, self.params.p)
         cur, n = self.m12(above), 2  # atom x P(1,p-1)
         for _ in range(self.params.p - 1 - s):
-            above, cur, n = cur, self.sub(self.m12(cur), above, n), 1
+            above, cur, n = cur, _sub(atom, self.m12(cur), above, n), 1
         return cur
 
     def pair(self, a, b) -> ModuleExpr:
         """a x b for two normalized fusable labels."""
         if isinstance(b, MSimple):
-            rung, k = self.t_ladder(a, b.s), b.r - 1
+            start, rung, k = a, self.t_ladder(a, b.s), b.r - 1
         elif isinstance(a, MSimple):
-            rung, k = self.t_ladder(b, a.s), a.r - 1
+            start, rung, k = b, self.t_ladder(b, a.s), a.r - 1
         elif isinstance(b, Proj):
-            rung, k = self.u_ladder(a, b.s), b.r - 1
+            start, rung, k = a, self.u_ladder(a, b.s), b.r - 1
         elif isinstance(a, Proj):
-            rung, k = self.u_ladder(b, a.s), a.r - 1
+            start, rung, k = b, self.u_ladder(b, a.s), a.r - 1
         else:
             # Purely typical pairs admit no degenerate-field recursion; fall
             # back to the direct rule (independently cross-checked by the
             # triple-product and pairing identities in the check suites).
             return _typical_typical(self.params, a, b)
-        # The ladders ran at r = 1; J^k moves the result to the operand's r.
-        atoms, params = self.atoms, self.params
-        return ModuleExpr._trusted({shift(params, atoms[i], k): mult for i, mult in rung.items()})
+        # The ladders ran at r = 1; J^k moves the start, and so the result,
+        # to the operand's r.
+        start = shift(self.params, start, k)
+        return ModuleExpr._trusted({_at(start, key): mult for key, mult in rung.items()})
 
 
 def chebyshev_fuse(params: Params, x, y) -> ModuleExpr:

@@ -518,17 +518,35 @@ def test_oracle_keeps_no_state_and_reads_no_closed_form_row():
 def test_oracle_reports_a_negative_subtraction(monkeypatch):
     # A wrong base product M(1,2) x M(r,s) = M(r,s+1), 1 < s < p, leaves
     # the ladder of M(1,3) x M(1,4) short of the M(1,3) it subtracts.
-    m12_atom = fusion._m12_atom
+    m12_row = fusion._m12_row
 
-    def wrong(params, atom):
-        if isinstance(atom, MSimple) and 1 < atom.s < params.p:
-            return ModuleExpr.of(MSimple(atom.r, atom.s + 1))
-        return m12_atom(params, atom)
+    def wrong(p, cls, b):
+        if cls is MSimple and 1 < b < p:
+            return [(MSimple, 0, b + 1, 1)]
+        return m12_row(p, cls, b)
 
-    monkeypatch.setattr(fusion, "_m12_atom", wrong)
+    monkeypatch.setattr(fusion, "_m12_row", wrong)
     with pytest.raises(OracleSubtractionFailure) as info:
         chebyshev_fuse(Params(5), MSimple(1, 3), MSimple(0, 4))
     assert str(info.value) == "multiset subtraction went negative at M(1,3)"
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_oracle_base_rows_are_the_m12_products(p):
+    # Each (class, d, b, mult) term of a base row, read at a start label as
+    # mult copies of class(r + d, b), or of F(q + d) when b = 0, is one
+    # summand of fuse's M(1,2) x start.
+    params = Params(p)
+    starts = [MSimple(r, s) for r in (-2, 0, 3) for s in range(1, p + 1)]
+    starts += [Proj(r, s) for r in (-2, 0, 3) for s in range(1, p)]
+    starts += [F(q) for q in ("1/2", "-7/3", "5/6")]
+    for start in starts:
+        b = getattr(start, "s", 0)
+        row = fusion._m12_row(p, type(start), b)
+        got = ModuleExpr(
+            [(cls(start.r + d, b2) if b2 else F(start.q + d), mult) for cls, d, b2, mult in row]
+        )
+        assert got == fuse(params, MSimple(1, 2), start), start
 
 
 @pytest.mark.parametrize("p", [25, 40])
