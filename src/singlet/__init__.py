@@ -7,7 +7,6 @@ from .characters import (
     CharacterSum,
     QSeries,
     ch_expr,
-    ch_indec,
     ch_vir_irr,
     partition_numbers,
 )
@@ -63,7 +62,6 @@ from .parser import parse_expr
 from .weights import (
     Params,
     UnitPhase,
-    Weight,
     allowed_neighbor_weights,
     conformal_weight,
     h0_squared,

@@ -24,7 +24,7 @@ from itertools import chain
 from operator import add
 
 from .errors import DomainError
-from .modules import FockTypical, ModuleExpr, _check_rs, as_label, k_class, lowest_weight
+from .modules import FockTypical, _check_rs, k_class, lowest_weight
 from .weights import Params, Value, exact, h_rs
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "CharacterSum",
     "partition_numbers",
     "ch_vir_irr",
-    "ch_indec",
     "ch_expr",
 ]
 
@@ -211,7 +210,8 @@ def _add_numerator(params: Params, factor, mult: int, off: int, n: int, numerato
 
 
 def ch_expr(params: Params, x, n: int) -> CharacterSum:
-    """Character of a module expression, one series per weight coset.
+    """Character of a module expression or a single label, one series per
+    weight coset.
 
     It is read off the K-class of ``x`` in one pass over its simple factors.
     Each coset's series starts at the minimal weight among its factors and
@@ -234,9 +234,3 @@ def ch_expr(params: Params, x, n: int) -> CharacterSum:
             _add_numerator(params, factor, mult, int(off), n, numerator)
         out[key] = QSeries(base, _times_partitions(numerator, n))
     return CharacterSum(out)
-
-
-def ch_indec(params: Params, atom, n: int) -> CharacterSum:
-    """Character of a single indecomposable."""
-    return ch_expr(params, ModuleExpr.of(as_label(atom)), n)
-

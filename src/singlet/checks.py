@@ -10,10 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import fusion, modules, orbifold
-from .characters import QSeries, ch_expr, ch_indec, ch_vir_irr, partition_numbers
+from .characters import QSeries, ch_expr, ch_vir_irr, partition_numbers
 from .errors import DomainError
 from .modules import FockAtypical, FockTypical, GenVerma, ModuleExpr, MSimple, Proj, label
-from .weights import Params, Weight, allowed_neighbor_weights, conformal_weight, h_rs
+from .weights import Params, allowed_neighbor_weights, conformal_weight, h_rs
 
 __all__ = ["SUITE_NAMES", "SuiteResult", "universe", "run_suite", "run_suites"]
 
@@ -197,15 +197,14 @@ def _suite_grading(params: Params) -> SuiteResult:
                 "monodromy not constant on factors of {}", x,
             )
     for q in sample_coords():
-        w = Weight(q, p)
         res.check(
-            4 * p * conformal_weight(w) + (p - 1) ** 2 == (q + p - 1) ** 2,
+            4 * p * conformal_weight(params, q) + (p - 1) ** 2 == (q + p - 1) ** 2,
             f"weight identity failed at q={q}",
         )
-        allowed = allowed_neighbor_weights(w, "via12")
+        allowed = allowed_neighbor_weights(params, q, "via12")
         for out in fusion.fuse(params, MSimple(1, 2), FockTypical(q)).atoms():
             res.check(
-                conformal_weight(Weight(out.q, p)) in allowed,
+                conformal_weight(params, out.q) in allowed,
                 f"neighbor-weight audit failed at q={q} -> {label(out)}",
             )
     return res
@@ -219,7 +218,7 @@ def _suite_characters(params: Params, order: int) -> SuiteResult:
         for s in range(1, p):
             fa = FockAtypical(r, s)
             res.check(
-                ch_indec(params, fa, order)
+                ch_expr(params, fa, order)
                 == ch_expr(params, ModuleExpr.of(MSimple(r, s), MSimple(r + 1, p - s)), order),
                 "Fock factor identity failed at {}", fa,
             )
@@ -232,17 +231,17 @@ def _suite_characters(params: Params, order: int) -> SuiteResult:
             two_vermas = [sum(part[k - d] for d in shifts if d <= k) for k in range(order + 1)]
             proj = Proj(r, s)
             res.check(
-                ch_indec(params, proj, order).series() == [QSeries(base, two_vermas)],
+                ch_expr(params, proj, order).series() == [QSeries(base, two_vermas)],
                 "projective factor identity failed at {}", proj,
             )
             res.check(
-                ch_indec(params, fa, order).series() == [QSeries(lws[0], part)],
+                ch_expr(params, fa, order).series() == [QSeries(lws[0], part)],
                 "Fock graded dimension failed at {}", fa,
             )
         for s in range(1, p + 1):
             simple = MSimple(r, s)
             res.check(
-                ch_indec(params, simple, order) == ch_indec(params, MSimple(2 - r, s), order),
+                ch_expr(params, simple, order) == ch_expr(params, MSimple(2 - r, s), order),
                 "contragredient characters differ at {}", simple,
             )
     for r in range(1, 5):
@@ -254,8 +253,8 @@ def _suite_characters(params: Params, order: int) -> SuiteResult:
             )
     for q in _TYPICAL_COORDS:
         res.check(
-            ch_indec(params, FockTypical(q), order)
-            == ch_indec(params, FockTypical(2 - 2 * p - q), order),
+            ch_expr(params, FockTypical(q), order)
+            == ch_expr(params, FockTypical(2 - 2 * p - q), order),
             f"contragredient Fock characters differ at q={q}",
         )
     return res

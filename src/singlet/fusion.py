@@ -6,8 +6,10 @@ private rule per species pair, on two normalized labels in canonical order
 validates and normalizes each label once, at its boundary, so the rules
 check nothing.  Of several bad labels, every product reports the first of
 ``x`` in canonical order, else the first of ``y`` (``_operand``).
-Projective x projective sums projective x simple over the composition
-factors of one operand, since P x - is exact and lands in projectives.
+One exactness rule serves F x P and P x P: for a projective a (a typical
+F(q) or a P), a x - is exact and lands in projectives, where every short
+exact sequence splits, so a x P is the sum of a x f over the composition
+factors f of P, each by the rule of M x a.
 Tensoring is exact, so the Grothendieck-ring product (:func:`k_product`)
 is the class of the fusion product of the classes.
 Inverting the injective projective-to-K-class map by a top-down peel
@@ -57,6 +59,7 @@ from .modules import (
     _layers,
     as_expr,
     as_label,
+    defining_coord,
     k_class,
     label,
     normalize_atom,
@@ -93,7 +96,7 @@ def _simple_simple(params: Params, a, b) -> ModuleExpr:
 
 def _simple_typical(params: Params, a, b) -> ModuleExpr:
     """M(r,s) x F(q): s typical Fock modules stepping by the short root."""
-    base = b.q + params.p * (a.r - 1) - (a.s - 1)
+    base = b.q + defining_coord(params, a)
     return ModuleExpr.of(*(FockTypical(base + 2 * l) for l in range(a.s)))
 
 
@@ -117,7 +120,7 @@ def _typical_typical(params: Params, a, b) -> ModuleExpr:
     total = a.q + b.q
     if total.denominator != 1:
         return ModuleExpr.of(*(FockTypical(total + 2 * l) for l in range(p)))
-    # Solve n = p(r-1) - (s-1) for the unique (r, s) with 1 <= s <= p.
+    # Solve n = defining_coord(M(r,s)) for the unique (r, s) with 1 <= s <= p.
     n = int(total) - (2 - 2 * p)
     r = -(-n // p) + 1
     s = p * (r - 1) - n + 1
@@ -127,30 +130,26 @@ def _typical_typical(params: Params, a, b) -> ModuleExpr:
     )
 
 
-def _typical_proj(params: Params, a, b) -> ModuleExpr:
-    """F(q) x P(r,s): p Fock modules from each of two base coordinates."""
-    p = params.p
-    qa = a.q + p * (b.r - 1) - (b.s - 1)
-    qb = a.q + p * (b.r - 2) - (p - b.s - 1)
-    return ModuleExpr.of(*(FockTypical(q0 + 2 * l) for l in range(p) for q0 in (qa, qb)))
-
-
-def _proj_proj(params: Params, a, b) -> ModuleExpr:
-    """P x P: P x - is exact and lands in projectives, so a x b is the sum
-    of a x f over the composition factors f of b."""
-    return ModuleExpr.combine((n, _simple_proj(params, f, a)) for f, n in k_class(params, b).items())
+def _exact_proj(params: Params, a, b) -> ModuleExpr:
+    """F(q) x P and P x P: a is projective, so a x - is exact and lands in
+    projectives, and a x b is the sum of a x f, by the M x type(a) rule,
+    over the composition factors f of b."""
+    rule = _CLOSED_FORMS[MSimple, type(a)]
+    return ModuleExpr.combine((n, rule(params, f, a)) for f, n in k_class(params, b).items())
 
 
 # The rule of each canonical species pair (MSimple <= FockTypical <= Proj),
 # on two labels in that order; read by ``_fuse_atoms``.  Every label a rule
-# meets has passed ``_fusable``, so the rules check nothing.
+# meets has passed ``_fusable``, so the rules check nothing.  The exactness
+# rule ``_exact_proj`` serves both pairs with a projective second operand and
+# a non-simple first one, F x P and P x P.
 _CLOSED_FORMS = {
     (MSimple, MSimple): _simple_simple,
     (MSimple, FockTypical): _simple_typical,
     (MSimple, Proj): _simple_proj,
     (FockTypical, FockTypical): _typical_typical,
-    (FockTypical, Proj): _typical_proj,
-    (Proj, Proj): _proj_proj,
+    (FockTypical, Proj): _exact_proj,
+    (Proj, Proj): _exact_proj,
 }
 
 

@@ -43,7 +43,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import DomainError, NonSemisimpleTwist, SingletError, UnsupportedSpecies
-from .weights import Params, UnitPhase, Value, exact, h_rs
+from .weights import Params, UnitPhase, Value, conformal_weight, exact, h_rs
 
 __all__ = [
     "MSimple",
@@ -254,10 +254,6 @@ class ModuleExpr:
             data[atom] = data.get(atom, 0) + 1
         return cls._trusted(data)
 
-    @classmethod
-    def zero(cls) -> "ModuleExpr":
-        return cls()
-
     def items(self):
         """(atom, multiplicity) pairs in the order they were added, unsorted."""
         return self._terms.items()
@@ -438,10 +434,7 @@ def lowest_weight(params: Params, atom) -> Fraction:
     the composition factors M(r,s) of any other label."""
     atom = normalize_atom(params, atom)
     if isinstance(atom, FockTypical):
-        # conformal_weight's (q^2 + 2q(p-1))/4p on q = n/d, as one Fraction.
-        n, d = atom._key
-        p = params.p
-        return Fraction(n * (n + 2 * d * (p - 1)), 4 * p * d * d)
+        return conformal_weight(params, atom.q)
     return min(h_rs(params, max(a.r, 2 - a.r), a.s) for a in chain.from_iterable(_layers(params.p, atom)))
 
 

@@ -1,7 +1,7 @@
 """Exact arithmetic on Heisenberg weights, conformal weights and phases.
 
 Weights live on the rational ray through half the short lattice generator:
-a weight is stored as the coordinate ``q`` with lambda = q * (alpha_minus/2).
+a weight is given by the coordinate ``q`` with lambda = q * (alpha_minus/2).
 In these coordinates the long generator alpha_plus has coordinate ``-2p``,
 alpha_minus has coordinate ``2``, and the lattice memberships become
 congruence conditions on ``q`` (integral q <=> dual lattice, q in 2pZ <=>
@@ -17,7 +17,6 @@ from .errors import DomainError
 
 __all__ = [
     "Params",
-    "Weight",
     "UnitPhase",
     "h_rs",
     "conformal_weight",
@@ -47,8 +46,8 @@ class Value:
     on the tuple of those fields: two values are equal exactly when they
     are of the same class with equal tuples, the hash is the hash of the
     tuple, the repr is ``Name(field=value, ...)``, and pickling and copying
-    rebuild the object from the tuple.  ``Weight`` and ``UnitPhase`` keep
-    shorter reprs, and the two label shapes hashed on every product,
+    rebuild the object from the tuple.  ``UnitPhase`` keeps a shorter
+    repr, and the two label shapes hashed on every product,
     ``PairLabel`` and ``CoordLabel``, state the same equality and hash
     without building a tuple.
     """
@@ -96,20 +95,6 @@ class Params(Value):
         return 13 - 6 * Fraction(self.p) - 6 * Fraction(1, self.p)
 
 
-class Weight(Value):
-    """Coordinate ``q`` of the weight q*(alpha_minus/2), with its ``p``;
-    ``p`` is checked by :class:`Params`."""
-
-    __slots__ = _fields = ("q", "p")
-
-    def __init__(self, q: Fraction, p: int):
-        _setattr(self, "q", exact(q))
-        _setattr(self, "p", Params(p).p)
-
-    def __repr__(self):
-        return f"Weight({self.q}, p={self.p})"
-
-
 class UnitPhase(Value):
     """The root of unity exp(2*pi*i*e), stored as the exponent e in [0, 1).
 
@@ -137,18 +122,23 @@ def h_rs(params: Params, r: int, s: int) -> Fraction:
     return Fraction((p * r - s) ** 2 - (p - 1) ** 2, 4 * p)
 
 
-def conformal_weight(w: Weight) -> Fraction:
-    """Lowest conformal weight of the Fock module at ``w``.
+def conformal_weight(params: Params, q) -> Fraction:
+    """Lowest conformal weight (q^2 + 2q(p-1)) / 4p of the Fock module at
+    coordinate ``q``, as one Fraction of the ints of q = n/d.
 
-    Equals (q^2 + 2q(p-1)) / 4p; at q = p(r-1) - (s-1) with r >= 1 this is
-    h_{r,s}.  Satisfies 4p*h + (p-1)^2 = (q+p-1)^2 exactly.
+    At the defining coordinate of M(r,s) with r >= 1 this is h_{r,s}.
+    Satisfies 4p*h + (p-1)^2 = (q+p-1)^2 exactly.
     """
-    return Fraction(w.q * w.q + 2 * w.q * (w.p - 1), 4 * w.p)
+    if q.__class__ is not Fraction:
+        q = exact(q)
+    n, d = q.numerator, q.denominator
+    p = params.p
+    return Fraction(n * (n + 2 * d * (p - 1)), 4 * p * d * d)
 
 
-def allowed_neighbor_weights(w: Weight, kind: str) -> frozenset[Fraction]:
-    """Conformal weights reachable from ``w`` by a surjective degenerate
-    intertwining operator.
+def allowed_neighbor_weights(params: Params, q, kind: str) -> frozenset[Fraction]:
+    """Conformal weights reachable from the Fock module at coordinate ``q``
+    by a surjective degenerate intertwining operator.
 
     ``kind`` is ``"via12"`` (the weight-h_{1,2} degenerate field) or
     ``"via31"`` (the weight-h_{3,1} field).  The discriminant
@@ -157,9 +147,10 @@ def allowed_neighbor_weights(w: Weight, kind: str) -> frozenset[Fraction]:
     * via12: { h + 1/4p +- |q+p-1|/2p }
     * via31: { h, h + p +- |q+p-1| }
     """
-    p = w.p
-    h = conformal_weight(w)
-    root = abs(w.q + p - 1)
+    p = params.p
+    q = exact(q)
+    h = conformal_weight(params, q)
+    root = abs(q + p - 1)
     if kind == "via12":
         return frozenset(
             {h + Fraction(1, 4 * p) + Fraction(sgn * root, 2 * p) for sgn in (1, -1)}

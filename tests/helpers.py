@@ -256,12 +256,11 @@ def k_product_by_pairs(params, a, b):
 
 
 # The species pairs whose closed form ``fuse_by_term_pairs`` takes from
-# ``fusion._CLOSED_FORMS``; P x M and P x P are not among them.
+# ``fusion._CLOSED_FORMS``; P x M, F x P and P x P are not among them.
 _ORACLE_CLOSED_FORMS = (
     (MSimple, MSimple),
     (MSimple, FockTypical),
     (FockTypical, FockTypical),
-    (FockTypical, Proj),
 )
 
 
@@ -270,9 +269,10 @@ def fuse_by_term_pairs(params, x, y):
     one, then those of y, so the first bad label of x, else of y, raises;
     then a nested loop over the pairs builds each pair's row afresh, with no
     id table and no cache: the closed form of the pair in canonical order
-    for the pairs in ``_ORACLE_CLOSED_FORMS``, and, for P x M and P x P, the
-    peel of the K-ring product summed pair by pair over the simple factors,
-    a derivation that does not use the closed forms of those two pairs."""
+    for the pairs in ``_ORACLE_CLOSED_FORMS``, and, for P x M, F x P and
+    P x P, the peel of the K-ring product summed pair by pair over the
+    simple factors, a derivation that does not use the rules of those three
+    pairs."""
     xs = [(_fusable(params, a), ma) for a, ma in as_expr(x).terms()]
     ys = [(_fusable(params, b), mb) for b, mb in as_expr(y).terms()]
     pieces = []

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from singlet import checks
-from singlet.characters import QSeries, ch_expr, ch_indec, partition_numbers
+from singlet.characters import QSeries, ch_expr, partition_numbers
 from singlet.cli import main
 from singlet.fusion import chebyshev_fuse, fuse, k_product
 from singlet.modules import (
@@ -29,7 +29,7 @@ from singlet.modules import (
 )
 from singlet.orbifold import OrbifoldParams, induce, is_local, list_simples, orbifold_fuse
 from singlet.parser import parse_expr
-from singlet.weights import Params, Weight, allowed_neighbor_weights, conformal_weight, h_rs
+from singlet.weights import Params, allowed_neighbor_weights, conformal_weight, h_rs
 
 
 def report(index, name):
@@ -80,12 +80,12 @@ def test_03_character_identities():
         params = Params(p)
         for r in range(-3, 5):
             for s in range(1, p):
-                lhs = ch_indec(params, FockAtypical(r, s), 40)
+                lhs = ch_expr(params, FockAtypical(r, s), 40)
                 rhs = ch_expr(
                     params, ModuleExpr.of(MSimple(r, s), MSimple(r + 1, p - s)), 40
                 )
                 assert lhs == rhs
-                lhs = ch_indec(params, Proj(r, s), 40)
+                lhs = ch_expr(params, Proj(r, s), 40)
                 rhs = ch_expr(
                     params,
                     ModuleExpr.of(FockAtypical(r, s), FockAtypical(r - 1, p - s)),
@@ -97,7 +97,7 @@ def test_03_character_identities():
 
 def test_04_vacuum_character():
     params = Params(2)
-    got = ch_indec(params, MSimple(1, 1), 5)
+    got = ch_expr(params, MSimple(1, 1), 5)
     assert got.series() == [QSeries(0, (1, 0, 1, 2, 3, 4))]
     # Independent oracle: telescoping the Fock exact sequences writes the
     # vacuum character as an alternating sum of pure partition series.
@@ -199,11 +199,11 @@ def test_11_weight_constraint_audit():
     coords = checks.sample_coords()
     assert len(coords) == 50
     for q in coords:
-        allowed = allowed_neighbor_weights(Weight(q, params.p), "via12")
+        allowed = allowed_neighbor_weights(params, q, "via12")
         outputs = fuse(params, MSimple(1, 2), FockTypical(q))
         assert outputs.total() == 2
         for atom in outputs.atoms():
-            assert conformal_weight(Weight(atom.q, params.p)) in allowed
+            assert conformal_weight(params, atom.q) in allowed
     report(11, "degenerate-field weight constraint on 50 sampled coordinates")
 
 

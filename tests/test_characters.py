@@ -8,7 +8,6 @@ from singlet.characters import (
     CharacterSum,
     QSeries,
     ch_expr,
-    ch_indec,
     ch_vir_irr,
     partition_numbers,
 )
@@ -170,11 +169,10 @@ def test_a_negative_order_is_refused(p2, call):
     [
         partition_numbers,
         lambda n: ch_expr(Params(2), MSimple(1, 1), n),
-        lambda n: ch_indec(Params(2), MSimple(1, 1), n),
         lambda n: ch_vir_irr(Params(2), 1, 1, n),
         lambda n: orbifold_char_expr(OrbifoldParams(2, 1), WSimple(0, 1), n),
     ],
-    ids=["partition_numbers", "ch_expr", "ch_indec", "ch_vir_irr", "orbifold_char_expr"],
+    ids=["partition_numbers", "ch_expr", "ch_vir_irr", "orbifold_char_expr"],
 )
 @pytest.mark.parametrize("n", [5.0, "5", Fraction(5), None, True])
 def test_a_non_int_order_is_refused(call, n):
@@ -184,12 +182,12 @@ def test_a_non_int_order_is_refused(call, n):
 
 
 def test_vacuum_character(p2):
-    got = ch_indec(p2, MSimple(1, 1), 5)
+    got = ch_expr(p2, MSimple(1, 1), 5)
     assert got.series() == [QSeries(0, (1, 0, 1, 2, 3, 4))]
 
 
 def test_fock_typical_character(p2):
-    got = ch_indec(p2, FockTypical(Fraction(1, 2)), 3)
+    got = ch_expr(p2, FockTypical(Fraction(1, 2)), 3)
     assert got.series() == [QSeries(Fraction(5, 32), (1, 1, 2, 3))]
 
 
@@ -201,7 +199,7 @@ def test_atypical_fock_is_partition_series(p2, p3, p5):
             for s in range(1, params.p):
                 atom = FockAtypical(r, s)
                 base = lowest_weight(params, atom)
-                assert ch_indec(params, atom, 24).series() == [
+                assert ch_expr(params, atom, 24).series() == [
                     QSeries(base, partition_numbers(24))
                 ]
 
@@ -212,7 +210,7 @@ def test_character_respects_k_class(p2, p3, p5):
         atoms += [FockAtypical(r, s) for r in range(-3, 5) for s in range(1, params.p)]
         atoms += [GenVerma(r, s) for r in range(-3, 5) for s in range(1, params.p + 1)]
         for atom in atoms:
-            assert ch_indec(params, atom, 12) == ch_expr(params, k_class(params, atom), 12)
+            assert ch_expr(params, atom, 12) == ch_expr(params, k_class(params, atom), 12)
 
 
 @pytest.mark.parametrize(
@@ -252,11 +250,11 @@ def test_contragredient_pairs_share_characters(p2, p3):
     for params in (p2, p3):
         for r in range(-3, 5):
             for s in range(1, params.p + 1):
-                assert ch_indec(params, MSimple(r, s), 20) == ch_indec(
+                assert ch_expr(params, MSimple(r, s), 20) == ch_expr(
                     params, MSimple(2 - r, s), 20
                 )
         for q in (Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)):
-            assert ch_indec(params, FockTypical(q), 20) == ch_indec(
+            assert ch_expr(params, FockTypical(q), 20) == ch_expr(
                 params, FockTypical(2 - 2 * params.p - q), 20
             )
 

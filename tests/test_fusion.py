@@ -108,6 +108,28 @@ def test_proj_typical_domain(p2):
         fuse(p2, Proj(1, 1), FockTypical(3))
 
 
+# The typical coordinates of the check universe, and one of denominator 12.
+TYPICAL_COORDS = [a.q for a in universe(Params(2)) if isinstance(a, FockTypical)] + [Fraction(-7, 12)]
+
+
+@pytest.mark.parametrize("q", TYPICAL_COORDS, ids=str)
+@pytest.mark.parametrize("p", range(2, 8))
+def test_typical_proj_closed_form(p, q):
+    # The closed form of F(q) x P(r,s): p Fock modules stepping by 2 from each
+    # of q + p(r-1) - (s-1) and q + p(r-2) - (p-s-1), each coordinate written
+    # from the ints of q.  fuse takes the product by the exactness rule, as
+    # the sum of F(q) x f over the composition factors f of P(r,s).
+    params = Params(p)
+    n, d = q.numerator, q.denominator
+    for r in range(-2, 4):
+        for s in range(1, p):
+            bases = (p * (r - 1) - (s - 1), p * (r - 2) - (p - s - 1))
+            expected = ModuleExpr.of(
+                *(FockTypical(Fraction(n + d * (b + 2 * l), d)) for b in bases for l in range(p))
+            )
+            assert fuse(params, FockTypical(q), Proj(r, s)) == expected, (r, s)
+
+
 @pytest.mark.parametrize(
     "p, rs, rs2, expected",
     [
@@ -218,7 +240,7 @@ def brute_force_decompose(params, target):
 
     base = ModuleExpr([(a, target.multiplicity(a)) for a in direct])
     leftover = difference(target, k_class(params, base))
-    solved = helper(leftover, ModuleExpr.zero(), 0)
+    solved = helper(leftover, ModuleExpr(), 0)
     return None if solved is None else base + solved
 
 
@@ -336,7 +358,7 @@ def test_first_error_follows_term_order(p2, product, x, y, error, atom):
         product(p2, ModuleExpr.of(*x), ModuleExpr.of(*y))
     # A zero x is an operand like any other: y is read as a good x reads it.
     y = ModuleExpr.of(*y)
-    assert outcome(product, p2, ModuleExpr.zero(), y) == outcome(product, p2, MSimple(1, 1), y)
+    assert outcome(product, p2, ModuleExpr(), y) == outcome(product, p2, MSimple(1, 1), y)
 
 
 # The rule of fuse and chebyshev_fuse, at p = 2, m = 2: the first bad label

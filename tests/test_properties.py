@@ -261,7 +261,7 @@ def fuse_cases(draw):
         )
     sums = st.lists(st.tuples(atoms, st.integers(1, 3)), min_size=1, max_size=4).map(ModuleExpr)
     operands = st.one_of(sums, atoms)
-    x = ModuleExpr.zero() if draw(st.integers(0, 3)) == 0 else draw(operands)
+    x = ModuleExpr() if draw(st.integers(0, 3)) == 0 else draw(operands)
     return Params(p), x, draw(operands)
 
 

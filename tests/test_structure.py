@@ -50,8 +50,8 @@ def test_module_expr_container():
     assert e.multiplicity(MSimple(1, 1)) == 2
     assert str(e) == "2*M(1,1) + F(1/2)"
     assert e + ModuleExpr.of(F12) == ModuleExpr([(MSimple(1, 1), 2), (F12, 2)])
-    assert 0 * e == ModuleExpr.zero()
-    assert str(ModuleExpr.zero()) == "0"
+    assert 0 * e == ModuleExpr()
+    assert str(ModuleExpr()) == "0"
 
 
 def test_canonical_ordering():

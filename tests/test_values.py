@@ -15,7 +15,7 @@ from singlet.characters import QSeries
 from singlet.checks import SuiteResult
 from singlet.modules import CoordLabel, FockAtypical, FockTypical, GenVerma, MSimple, PairLabel, Proj
 from singlet.orbifold import OrbifoldParams, RProj, VTypical, WSimple
-from singlet.weights import Params, UnitPhase, Value, Weight
+from singlet.weights import Params, UnitPhase, Value
 
 PAIR_LABELS = (MSimple, Proj, FockAtypical, GenVerma, WSimple, RProj)
 
@@ -26,7 +26,6 @@ VALUES = [
     (FockTypical(Fraction(1, 2)), {"q": Fraction(1, 2)}, "FockTypical(q=Fraction(1, 2))"),
     (VTypical(Fraction(-5, 6)), {"q": Fraction(-5, 6)}, "VTypical(q=Fraction(-5, 6))"),
     (Params(3), {"p": 3}, "Params(p=3)"),
-    (Weight(Fraction(1, 2), 3), {"q": Fraction(1, 2), "p": 3}, "Weight(1/2, p=3)"),
     (UnitPhase(Fraction(5, 4)), {"exponent": Fraction(1, 4)}, "UnitPhase(1/4)"),
     (OrbifoldParams(2, 3), {"p": 2, "m": 3}, "OrbifoldParams(p=2, m=3)"),
     (QSeries(Fraction(1, 3), (1, 0, 2)), {"h0": Fraction(1, 3), "coeffs": (1, 0, 2)},
@@ -113,8 +112,8 @@ def test_every_value_class_has_a_semantics_case():
 
 def test_value_rule_is_stated_once():
     """Only the two label shapes, hashed on every product, restate equality
-    and hash, and only Weight and UnitPhase have a repr of their own."""
+    and hash, and only UnitPhase has a repr of its own."""
     defining = lambda name: {cls for cls in _value_classes() if name in vars(cls)}
     assert defining("__eq__") == defining("__hash__") == {PairLabel, CoordLabel}
-    assert defining("__repr__") == {Weight, UnitPhase}
+    assert defining("__repr__") == {UnitPhase}
     assert not defining("__reduce__")

@@ -19,7 +19,6 @@ from singlet.orbifold import OrbifoldParams, VTypical, v_typical
 from singlet.weights import (
     Params,
     UnitPhase,
-    Weight,
     allowed_neighbor_weights,
     conformal_weight,
     h0_squared,
@@ -30,9 +29,9 @@ rationals = st.fractions(max_denominator=40, min_value=-30, max_value=30)
 params_st = st.integers(min_value=2, max_value=7).map(Params)
 
 
-def alpha(params, r, s) -> Weight:
+def alpha(params, r, s) -> Fraction:
     """The weight alpha_{r,s}: the defining coordinate of M(r,s)."""
-    return Weight(defining_coord(params, MSimple(r, s)), params.p)
+    return defining_coord(params, MSimple(r, s))
 
 
 def fock(params, q):
@@ -53,10 +52,10 @@ def test_params_validation():
 
 @pytest.mark.parametrize("p", [0, 1, 2.5])
 def test_weight_validates_p(p):
-    # Params states the rule and its message; an unchecked p = 0 would
-    # divide by zero in conformal_weight.
+    # conformal_weight reads p from a Params, which states the rule and its
+    # message; an unchecked p = 0 would divide by zero.
     with pytest.raises(DomainError, match=rf"^p must be an integer >= 2, got {p!r}$"):
-        Weight(Fraction(1, 2), p)
+        conformal_weight(Params(p), Fraction(1, 2))
 
 
 @pytest.mark.parametrize(
@@ -64,14 +63,14 @@ def test_weight_validates_p(p):
     [(2, 1, 1, 0), (2, 3, 1, 4), (3, 0, 2, -4), (2, 2, 1, 2), (3, 1, 2, -1)],
 )
 def test_alpha_coord(p, r, s, q):
-    assert alpha(Params(p), r, s).q == q
+    assert alpha(Params(p), r, s) == q
 
 
 def test_alpha_coord_periodicity():
     params = Params(3)
     for r in range(-2, 3):
         for s in range(1, 4):
-            assert alpha(params, r + 1, s + 3).q == alpha(params, r, s).q
+            assert alpha(params, r + 1, s + 3) == alpha(params, r, s)
 
 
 @pytest.mark.parametrize(
@@ -85,25 +84,25 @@ def test_alpha_coord_periodicity():
     ],
 )
 def test_conformal_weight(p, q, h):
-    assert conformal_weight(Weight(Fraction(q), p)) == h
+    assert conformal_weight(Params(p), q) == h
 
 
 def test_typical_lowest_weight_is_the_conformal_weight():
-    # lowest_weight reads a typical coordinate's numerator and denominator
-    # ints; conformal_weight works on the Fraction itself.
+    # The discriminant identity 4p*h + (p-1)^2 = (q+p-1)^2 on the lowest
+    # weight of F(q), its right side written from the ints of q = n/d.
     for p in range(2, 12):
         params = Params(p)
         for d in range(2, 13):
             for n in range(-3 * p * d, 3 * p * d + 1):
                 if n % d:
-                    q = Fraction(n, d)
-                    assert lowest_weight(params, FockTypical(q)) == conformal_weight(Weight(q, p)), (p, q)
+                    h = lowest_weight(params, FockTypical(Fraction(n, d)))
+                    assert 4 * p * h + (p - 1) ** 2 == Fraction((n + (p - 1) * d) ** 2, d * d), (p, n, d)
 
 
 def test_conformal_weight_matches_kac_table(p3):
     for r in range(1, 5):
         for s in range(1, 4):
-            assert conformal_weight(alpha(p3, r, s)) == h_rs(p3, r, s)
+            assert conformal_weight(p3, alpha(p3, r, s)) == h_rs(p3, r, s)
 
 
 def test_kac_symmetry_with_periodicity(p2, p3):
@@ -112,11 +111,11 @@ def test_kac_symmetry_with_periodicity(p2, p3):
     for params in (p2, p3):
         for r in range(-3, 4):
             for s in range(1, params.p + 1):
-                lhs = conformal_weight(alpha(params, r, s))
-                rhs = conformal_weight(alpha(params, 1 - r, params.p - s))
+                lhs = conformal_weight(params, alpha(params, r, s))
+                rhs = conformal_weight(params, alpha(params, 1 - r, params.p - s))
                 assert lhs == rhs
-                dual = dual_atom(params, fock(params, alpha(params, r, s).q))
-                assert defining_coord(params, dual) == alpha(params, 1 - r, params.p - s).q
+                dual = dual_atom(params, fock(params, alpha(params, r, s)))
+                assert defining_coord(params, dual) == alpha(params, 1 - r, params.p - s)
 
 
 @pytest.mark.parametrize(
@@ -145,8 +144,7 @@ def test_contragredient(p, q, dual_q):
 
 @given(params_st, rationals)
 def test_weight_discriminant_identity(params, q):
-    w = Weight(q, params.p)
-    assert 4 * params.p * conformal_weight(w) + (params.p - 1) ** 2 == (q + params.p - 1) ** 2
+    assert 4 * params.p * conformal_weight(params, q) + (params.p - 1) ** 2 == (q + params.p - 1) ** 2
 
 
 @given(params_st, rationals)
@@ -156,7 +154,7 @@ def test_contragredient_involution(params, q):
     q2 = defining_coord(params, dual)
     assert q2 == 2 - 2 * params.p - q
     assert dual_atom(params, dual) == x
-    assert conformal_weight(Weight(q2, params.p)) == conformal_weight(Weight(q, params.p))
+    assert conformal_weight(params, q2) == conformal_weight(params, q)
     assert isinstance(dual, FockTypical) == isinstance(x, FockTypical)
 
 
@@ -169,12 +167,12 @@ def test_contragredient_involution(params, q):
     ],
 )
 def test_allowed_neighbor_weights(p, q, kind, expected):
-    assert allowed_neighbor_weights(Weight(q, p), kind) == frozenset(expected)
+    assert allowed_neighbor_weights(Params(p), q, kind) == frozenset(expected)
 
 
 def test_allowed_neighbor_weights_bad_kind(p2):
     with pytest.raises(DomainError):
-        allowed_neighbor_weights(Weight(Fraction(0), 2), "via99")
+        allowed_neighbor_weights(p2, Fraction(0), "via99")
 
 
 @pytest.mark.parametrize(
@@ -221,7 +219,7 @@ def test_unit_phase_group_laws(e1, e2):
 FLOAT_CALLS = {
     "FockTypical": lambda: FockTypical(1 / 3),
     "VTypical": lambda: VTypical(0.5),
-    "Weight": lambda: Weight(0.5, 3),
+    "conformal_weight": lambda: conformal_weight(Params(3), 0.5),
     "UnitPhase": lambda: UnitPhase(0.25),
     "QSeries.h0": lambda: QSeries(0.5, (1,)),
     "CharacterSum.coset": lambda: CharacterSum({}).coset(0.5),
@@ -240,7 +238,8 @@ def test_floats_are_refused(call):
 
 def test_exact_numbers_are_accepted():
     assert FockTypical(Fraction(1, 3)).q == FockTypical("1/3").q == Fraction(1, 3)
-    assert Weight(1, 3).q == Fraction(1) and UnitPhase(-1).exponent == 0
+    assert conformal_weight(Params(3), 1) == conformal_weight(Params(3), Fraction(1))
+    assert UnitPhase(-1).exponent == 0
     assert h0_squared(Params(2), 0) == h0_squared(Params(2), Fraction(0))
 
 
