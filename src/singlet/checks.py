@@ -300,11 +300,11 @@ def _suite_orbifold(params: Params, m: int) -> SuiteResult:
         f"simple count is not 2pm^2 at (p,m)=({p},{m})",
     )
     atoms = [a for a in universe(params) if orbifold.is_local(op, a)]
-    for x in atoms:
-        ix = orbifold.induce(op, ModuleExpr.of(x))
-        for y in atoms:
+    induced = [orbifold.induce(op, ModuleExpr.of(x)) for x in atoms]
+    for x, ix in zip(atoms, induced):
+        for y, iy in zip(atoms, induced):
             lhs = orbifold.induce(op, fusion.fuse(params, x, y))
-            rhs = orbifold.orbifold_fuse(op, ix, orbifold.induce(op, ModuleExpr.of(y)))
+            rhs = orbifold.orbifold_fuse(op, ix, iy)
             res.check(lhs == rhs, "induction functoriality failed at {}, {}", x, y)
     # A cover's middle layer, J x W(r,p-s) + J^-1 x W(r,p-s) for J = W(2,1),
     # comes from orbifold_fuse, not from the socle series (at m = 1, J = J^-1).

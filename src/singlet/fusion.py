@@ -9,7 +9,9 @@ check nothing.  Of several bad labels, every product reports the first of
 One exactness rule serves F x P and P x P: for a projective a (a typical
 F(q) or a P), a x - is exact and lands in projectives, where every short
 exact sequence splits, so a x P is the sum of a x f over the composition
-factors f of P, each by the rule of M x a.
+factors f of P, each by the rule of M x a.  The typical rules (M x F,
+and F x F off the integral coset) write each coordinate from the ints of
+q, and read alpha_{r,s} and its inverse from :mod:`modules`.
 Tensoring is exact, so the Grothendieck-ring product (:func:`k_product`)
 is the class of the fusion product of the classes.
 Inverting the injective projective-to-K-class map by a top-down peel
@@ -18,9 +20,10 @@ operand a second way, and the ``kring`` suite compares the two.
 
 :func:`fuse` works on int ids.  Each p has one table of interned labels
 (``_Table``); a product row is cached once per unordered pair of ids as a
-flat tuple of ids and multiplicities.  ``_Table.product``
-is the one loop that adds rows: it sums the rows of every pair of terms
-into one ``{id: mult}`` dict.  :func:`fuse` maps its operands to ids,
+flat tuple of ids and multiplicities.  ``_Table.product`` is the one loop
+that adds rows: it sums the rows of every pair of terms into one
+``{id: mult}`` dict, and reads the product of two single labels straight
+from their row, in one call.  :func:`fuse` maps its operands to ids,
 calls it and reads the ids back as labels.  ``product`` is symmetric in
 its operands, and the ``associativity`` suite relies on that: it calls it on
 the cached rows themselves, compares the dicts of (x y) z and x (y z) once
@@ -31,16 +34,18 @@ it reduces every product to the degenerate-field recursion
 ``X x M(1,s+1) = (X x M(1,s)) x M(1,2) - X x M(1,s-1)`` together with
 simple-current index shifts, starting from hand-written ``M(1,2) x -``
 base products only.  M(1,2) x - commutes with J = M(2,1), so each ladder
-runs on keys ``(class, d, b)`` relative to its start label, standing for
-class(r + d, b), or F(q + d) when b = 0, and a base row (``_m12_row``)
-depends only on the class and b: at most 2p rows per call, made on first
-use and dropped with the call.  Labels are made only for the answer,
-from the start label moved by :func:`modules.shift`.  The oracle never
-reads the id tables or cached rows of :func:`fuse`.
+runs on keys relative to its start label, standing for class(r + d, b),
+or F(q + d) when b = 0; a key is the one int d * 2p + code(class, b),
+for one of 2p codes.  A base row (``_m12_row``) depends only on the code,
+so each of its terms moves a key by a fixed int: at most 2p rows per
+call, made on first use and dropped with the call.  Labels are made only
+for the answer, from the start label moved by :func:`modules.shift`.
+The oracle never reads the id tables or cached rows of :func:`fuse`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
@@ -57,9 +62,10 @@ from .modules import (
     MSimple,
     Proj,
     _layers,
+    alpha,
+    alpha_label,
     as_expr,
     as_label,
-    defining_coord,
     k_class,
     label,
     normalize_atom,
@@ -94,10 +100,19 @@ def _simple_simple(params: Params, a, b) -> ModuleExpr:
     )
 
 
+def _fock_run(q: Fraction, first: int, count: int) -> ModuleExpr:
+    """F(q + first + 2l) for 0 <= l < count.  Each coordinate is built from
+    the ints n/d of q as (n + kd)/d, with no Fraction sum: it is already in
+    lowest terms, since gcd(n + kd, d) = gcd(n, d) = 1."""
+    n, d = q.numerator, q.denominator
+    n += first * d
+    return ModuleExpr.of(*(FockTypical(Fraction(k, d)) for k in range(n, n + 2 * d * count, 2 * d)))
+
+
 def _simple_typical(params: Params, a, b) -> ModuleExpr:
-    """M(r,s) x F(q): s typical Fock modules stepping by the short root."""
-    base = b.q + defining_coord(params, a)
-    return ModuleExpr.of(*(FockTypical(base + 2 * l) for l in range(a.s)))
+    """M(r,s) x F(q): s typical Fock modules stepping by the short root
+    from q + alpha_{r,s}."""
+    return _fock_run(b.q, alpha(params.p, a.r, a.s), a.s)
 
 
 def _simple_proj(params: Params, a, b) -> ModuleExpr:
@@ -119,11 +134,8 @@ def _typical_typical(params: Params, a, b) -> ModuleExpr:
     p = params.p
     total = a.q + b.q
     if total.denominator != 1:
-        return ModuleExpr.of(*(FockTypical(total + 2 * l) for l in range(p)))
-    # Solve n = defining_coord(M(r,s)) for the unique (r, s) with 1 <= s <= p.
-    n = int(total) - (2 - 2 * p)
-    r = -(-n // p) + 1
-    s = p * (r - 1) - n + 1
+        return _fock_run(total, 0, p)
+    r, s = alpha_label(p, int(total) - (2 - 2 * p))
     return ModuleExpr.of(
         *(normalize_atom(params, Proj(r, s2)) for s2 in range(s, p + 1, 2)),
         *(normalize_atom(params, Proj(r - 1, s2)) for s2 in range(p + 2 - s, p + 1, 2)),
@@ -266,7 +278,11 @@ class _Table:
         Every pair of terms is one cached row of :func:`_fuse_atoms`, and
         the rows are added into one dict.  Ids map one-to-one to normalized
         labels, so two such dicts are equal exactly when the expressions
-        they stand for are."""
+        they stand for are.  The product of two single labels is their row
+        itself, read into a dict in one call: a row holds each id once."""
+        if len(xs) == 2 == len(ys) and xs[1] == 1 == ys[1]:
+            row = iter(self.row(xs[0], ys[0]))
+            return dict(zip(row, row))
         acc: dict = {}
         get = acc.get
         row_of = self.row
@@ -359,21 +375,35 @@ def _proj_edge(p: int, k: int) -> list:
     return [(Proj, 0, k, 1)]
 
 
-def _at(start, key):
-    """The label of a ladder key ``(class, d, b)`` that starts at ``start``:
-    class(r + d, b), or F(q + d) when b = 0."""
-    cls, d, b = key
+def _code(p: int, cls, b: int) -> int:
+    """The code in [0, 2p) of a ladder class and b: 0 for F, b for M(., b)
+    and p + b for P(., b)."""
+    return b if cls is MSimple else p + b if cls is Proj else 0
+
+
+def _decode(p: int, code: int) -> tuple:
+    """The class and b of a :func:`_code`."""
+    if not code:
+        return FockTypical, 0
+    return (MSimple, code) if code <= p else (Proj, code - p)
+
+
+def _at(p: int, start, key: int):
+    """The label of a ladder key ``d * 2p + code(class, b)`` that starts at
+    ``start``: class(r + d, b), or F(q + d) when b = 0."""
+    d, code = divmod(key, 2 * p)
+    cls, b = _decode(p, code)
     return cls(start.r + d, b) if b else FockTypical(start.q + d)
 
 
-def _sub(start, acc: dict, rung: dict, n: int = 1) -> dict:
+def _sub(p: int, start, acc: dict, rung: dict, n: int = 1) -> dict:
     """acc - n * rung, in place, on a ladder from ``start``; a count that
     would go negative raises OracleSubtractionFailure."""
     for key, mult in rung.items():
         left = acc.get(key, 0) - n * mult
         if left < 0:
             raise OracleSubtractionFailure(
-                f"multiset subtraction went negative at {label(_at(start, key))}"
+                f"multiset subtraction went negative at {label(_at(p, start, key))}"
             )
         if left:
             acc[key] = left
@@ -384,37 +414,49 @@ def _sub(start, acc: dict, rung: dict, n: int = 1) -> dict:
 
 class _Ladder:
     """The recursion ladders of one :func:`chebyshev_fuse` call.  A rung is
-    a ``{key: mult}`` dict on the keys of :func:`_at`, and ``rows[class, b]``
-    is the base row of :func:`_m12_row`, made on first use."""
+    a ``{key: mult}`` dict on the int keys of :func:`_at`, and
+    ``rows[code]`` is the base row of :func:`_m12_row` for that code, made
+    on first use as ``(key step, mult)`` pairs: the base row of a key is
+    the same at every d, so each of its terms moves the key by a fixed int."""
 
     __slots__ = ("params", "rows")
 
     def __init__(self, params: Params):
         self.params = params
-        self.rows: dict = {}
+        self.rows: list = [None] * (2 * params.p)
+
+    def _steps(self, code: int) -> list:
+        p = self.params.p
+        return [
+            (d2 * 2 * p + _code(p, cls2, b2) - code, n)
+            for cls2, d2, b2, n in _m12_row(p, *_decode(p, code))
+        ]
 
     def m12(self, rung: dict) -> dict:
         """M(1,2) x rung."""
         acc: dict = {}
         get = acc.get
         rows = self.rows
-        for (cls, d, b), mult in rung.items():
-            row = rows.get((cls, b))
+        width = len(rows)
+        for key, mult in rung.items():
+            row = rows[key % width]
             if row is None:
-                row = rows[cls, b] = _m12_row(self.params.p, cls, b)
-            for cls2, d2, b2, n in row:
-                key = (cls2, d + d2, b2)
-                acc[key] = get(key, 0) + mult * n
+                code = key % width
+                row = rows[code] = self._steps(code)
+            for step, n in row:
+                k = key + step
+                acc[k] = get(k, 0) + mult * n
         return acc
 
     def t_ladder(self, atom, s: int) -> dict:
         """atom x M(1,s), by the degenerate-field recursion."""
-        prev = {(type(atom), 0, getattr(atom, "s", 0)): 1}
+        p = self.params.p
+        prev = {_code(p, type(atom), getattr(atom, "s", 0)): 1}
         if s == 1:
             return prev
         cur = self.m12(prev)
         for _ in range(s - 2):
-            prev, cur = cur, _sub(atom, self.m12(cur), prev)
+            prev, cur = cur, _sub(p, atom, self.m12(cur), prev)
         return cur
 
     def u_ladder(self, atom, s: int) -> dict:
@@ -424,7 +466,7 @@ class _Ladder:
         above = self.t_ladder(atom, self.params.p)
         cur, n = self.m12(above), 2  # atom x P(1,p-1)
         for _ in range(self.params.p - 1 - s):
-            above, cur, n = cur, _sub(atom, self.m12(cur), above, n), 1
+            above, cur, n = cur, _sub(self.params.p, atom, self.m12(cur), above, n), 1
         return cur
 
     def pair(self, a, b) -> ModuleExpr:
@@ -445,7 +487,8 @@ class _Ladder:
         # The ladders ran at r = 1; J^k moves the start, and so the result,
         # to the operand's r.
         start = shift(self.params, start, k)
-        return ModuleExpr._trusted({_at(start, key): mult for key, mult in rung.items()})
+        p = self.params.p
+        return ModuleExpr._trusted({_at(p, start, key): mult for key, mult in rung.items()})
 
 
 def chebyshev_fuse(params: Params, x, y) -> ModuleExpr:

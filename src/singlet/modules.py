@@ -58,6 +58,8 @@ __all__ = [
     "sort_key",
     "normalize_atom",
     "shift",
+    "alpha",
+    "alpha_label",
     "defining_coord",
     "dual",
     "dual_atom",
@@ -112,8 +114,7 @@ class CoordLabel(Value):
     _fields = ("q",)
 
     def __init__(self, q: Fraction):
-        if q.__class__ is not Fraction:
-            q = exact(q)
+        q = exact(q)
         _setattr(self, "q", q)
         # Fraction hashing and equality are slow, and labels are dict keys on
         # every product: compare the ints of q, and cache the hash of (q,).
@@ -355,13 +356,26 @@ def shift(params: Params, atom, k: int):
     return type(atom)(atom.r + k, atom.s)
 
 
+def alpha(p: int, r: int, s: int) -> int:
+    """The integral coordinate alpha_{r,s} = p(r-1) - (s-1) of the weight
+    labelling M(r,s); :func:`alpha_label` inverts it."""
+    return p * (r - 1) - (s - 1)
+
+
+def alpha_label(p: int, n: int) -> tuple:
+    """The (r, s) with 1 <= s <= p and alpha_{r,s} = n: every int is
+    alpha_{r,s} for exactly one such pair."""
+    up = -(-n // p)  # the least multiple of p at or above n, over p
+    return up + 1, p * up - n + 1
+
+
 def defining_coord(params: Params, atom) -> Fraction:
     """Coordinate q of the weight labelling the atom: alpha_{r,s} for the
     integrally-labelled species, the Fock weight itself for typical."""
     q = getattr(atom, "q", None)
     if q is not None:
         return q
-    return Fraction(params.p * (atom.r - 1) - (atom.s - 1))
+    return Fraction(alpha(params.p, atom.r, atom.s))
 
 
 def dual_atom(params: Params, atom):

@@ -17,6 +17,9 @@ depend on the chosen lifts.
 Each orbifold species is the induction of one singlet species: the table
 ``_LIFTS`` maps each orbifold class to the singlet class of its canonical lift
 and to its normalizer, and lifting, induction and normalization all read it.
+An :class:`OrbifoldParams` keeps every image that induction has made and
+every lift that :func:`orbifold_fuse` has made (successes only), so a label
+is validated and converted once per parameter set.
 """
 
 from __future__ import annotations
@@ -69,10 +72,12 @@ _setattr = object.__setattr__
 class OrbifoldParams(Value):
     """Orbifold parameters: singlet p and cyclic order m >= 1.  ``singlet`` is
     the one :class:`Params` of p, built and checked once; ``images`` maps each
-    singlet label already induced to its orbifold label (successes only).
-    Neither is a field: equality, hash and repr read (p, m) only."""
+    singlet label already induced to its orbifold label, and ``lifts`` each
+    orbifold label already lifted by :func:`orbifold_fuse` to its canonical
+    singlet lift (successes only, so a bad label is checked on every call).
+    None of these is a field: equality, hash and repr read (p, m) only."""
 
-    __slots__ = ("p", "m", "singlet", "images")
+    __slots__ = ("p", "m", "singlet", "images", "lifts")
     _fields = ("p", "m")
 
     def __init__(self, p: int, m: int):
@@ -80,6 +85,7 @@ class OrbifoldParams(Value):
         _setattr(self, "m", m)
         _setattr(self, "singlet", Params(p))
         _setattr(self, "images", {})
+        _setattr(self, "lifts", {})
         if m.__class__ is not int or m < 1:
             raise DomainError(f"m must be an integer >= 1, got {m!r}")
 
@@ -193,19 +199,29 @@ def lift_atom(op: OrbifoldParams, atom):
     return _lift_entry(atom)[0](*atom._values())
 
 
+def _lift(op: OrbifoldParams, atom):
+    """The canonical singlet lift of one orbifold label, read from
+    ``op.lifts`` or computed and kept there; a bad label raises and is not
+    kept."""
+    lift = op.lifts.get(atom)
+    if lift is None:
+        lift = op.lifts[atom] = lift_atom(op, normalize_orbifold_atom(op, atom))
+    return lift
+
+
 def orbifold_fuse(op: OrbifoldParams, x, y) -> ModuleExpr:
     """Tensor product of orbifold expressions.
 
     Both operands are lifted term by term to their canonical singlet
-    representatives (:func:`lift_atom`), fused there as whole sums, and the
-    product is induced back once.  Induction is a tensor functor, so any
-    other choice of lifts gives the same result.  Errors follow the rule of
-    every product: the first bad label of ``x`` in canonical order, else
-    the first of ``y``.
+    representatives (:func:`lift_atom`, memoized in ``op.lifts``), fused
+    there as whole sums, and the product is induced back once.  Induction
+    is a tensor functor, so any other choice of lifts gives the same
+    result.  Errors follow the rule of every product: the first bad label
+    of ``x`` in canonical order, else the first of ``y``.
     """
 
     def lift(z) -> ModuleExpr:
-        return as_expr(z).expand(lambda atom: (lift_atom(op, normalize_orbifold_atom(op, atom)),))
+        return as_expr(z).expand(lambda atom: (_lift(op, atom),))
 
     return induce(op, fuse(op.singlet, lift(x), lift(y)))
 

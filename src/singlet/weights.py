@@ -29,9 +29,12 @@ _setattr = object.__setattr__
 
 
 def exact(x) -> Fraction:
-    """``Fraction(x)`` for an exact number.  A float raises DomainError: it
-    holds a binary approximation (1/3 is 6004799503160661/2**54), not the
-    rational that was meant."""
+    """``Fraction(x)`` for an exact number, and a Fraction itself unchanged
+    (rebuilding one costs as much as the arithmetic around most calls).  A
+    float raises DomainError: it holds a binary approximation (1/3 is
+    6004799503160661/2**54), not the rational that was meant."""
+    if x.__class__ is Fraction:
+        return x
     if isinstance(x, float):
         raise DomainError(f"numbers must be exact (an int or a Fraction), got the float {x!r}")
     return Fraction(x)
@@ -129,8 +132,7 @@ def conformal_weight(params: Params, q) -> Fraction:
     At the defining coordinate of M(r,s) with r >= 1 this is h_{r,s}.
     Satisfies 4p*h + (p-1)^2 = (q+p-1)^2 exactly.
     """
-    if q.__class__ is not Fraction:
-        q = exact(q)
+    q = exact(q)
     n, d = q.numerator, q.denominator
     p = params.p
     return Fraction(n * (n + 2 * d * (p - 1)), 4 * p * d * d)

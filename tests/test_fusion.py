@@ -581,3 +581,51 @@ def test_oracle_deep_rungs(p):
     pairs += [(Proj(r, s), F(q)) for r, s, q in ((0, 1, "1/2"), (2, p // 3, "-7/3"), (1, p - 1, "5/6"))]
     for x, y in pairs:
         assert chebyshev_fuse(params, x, y) == fuse(params, x, y), (x, y)
+
+
+@pytest.mark.parametrize("p", range(2, 6))
+def test_single_pair_product_is_its_row(p):
+    # Two single labels of multiplicity 1 are read straight from their row;
+    # the dict holds the row's ids and multiplicities in the row's order.
+    # A multiplicity other than 1 takes the general loop and scales the row.
+    t = fusion.id_table(Params(p))
+    singles = [t.ids(x) for x in universe(Params(p))]
+    for xs in singles:
+        for ys in singles:
+            row = t.row(xs[0], ys[0])
+            want = list(zip(row[::2], row[1::2]))
+            assert list(t.product(xs, ys).items()) == want
+            assert list(t.product([xs[0], 2], ys).items()) == [(k, 2 * n) for k, n in want]
+
+
+# Numerators of every sign, up to 10^6 in size, against denominators 2..12.
+NUMERATORS = [n for k in (1, 5, 7, 11, 999_999, 10**6, 10**6 - 11) for n in (k, -k)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_typical_rules_on_ints_match_fraction_arithmetic(p):
+    # The rules build each coordinate as (n + kd)/d from the ints of q; the
+    # reference here is Fraction arithmetic, term by term and in order.
+    params = Params(p)
+    qs = [Fraction(n, d) for d in range(2, 13) for n in NUMERATORS if n % d]
+    simples = [MSimple(r, s) for r in (-3, 1, 4) for s in range(1, p + 1)]
+    for q in qs:
+        for a in simples:
+            base = q + p * (a.r - 1) - (a.s - 1)
+            want = [(FockTypical(base + 2 * l), 1) for l in range(a.s)]
+            assert list(fusion._simple_typical(params, a, F(q)).items()) == want, (a, q)
+        for q2 in (Fraction(1, 3), Fraction(-5, 12), Fraction(1, 2) - q, Fraction(1, 3) - 2 * q):
+            total = q + q2
+            if q2.denominator == 1 or total.denominator == 1:
+                continue
+            want = [(FockTypical(total + 2 * l), 1) for l in range(p)]
+            assert list(fusion._typical_typical(params, F(q), F(q2)).items()) == want, (q, q2)
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_ladder_codes_round_trip(p):
+    # The 2p codes of the oracle's ladder keys: F, M(., 1..p), P(., 1..p-1).
+    pairs = [(FockTypical, 0)] + [(MSimple, b) for b in range(1, p + 1)]
+    pairs += [(Proj, b) for b in range(1, p)]
+    assert [fusion._code(p, cls, b) for cls, b in pairs] == list(range(2 * p))
+    assert [fusion._decode(p, code) for code in range(2 * p)] == pairs

@@ -189,6 +189,26 @@ def test_induce_keeps_the_images_of_good_labels_only():
     assert OrbifoldParams(2, 2) == op and hash(OrbifoldParams(2, 2)) == hash(op)
 
 
+def test_orbifold_fuse_keeps_the_lifts_of_good_labels_only():
+    op = OrbifoldParams(3, 2)
+    good = ModuleExpr.of(WSimple(5, 1), RProj(1, 2), VTypical(Fraction(1, 2)))
+    expected = orbifold_fuse(op, good, WSimple(0, 3))
+    assert op.lifts == {
+        WSimple(5, 1): MSimple(1, 1),
+        RProj(1, 2): Proj(1, 2),
+        VTypical(Fraction(1, 2)): FockTypical(Fraction(1, 2)),
+        WSimple(0, 3): MSimple(0, 3),
+    }
+    for bad, error in ((WSimple(1, 4), "W label needs 1 <= s <= 3, got s=4"),
+                       (MSimple(1, 1), "not an orbifold module label: MSimple(r=1, s=1)")):
+        for _ in range(2):
+            with pytest.raises(DomainError) as err:
+                orbifold_fuse(op, good, good + ModuleExpr.of(bad))
+            assert str(err.value) == error
+            assert bad not in op.lifts and len(op.lifts) == 4
+    assert orbifold_fuse(op, good, WSimple(0, 3)) == expected
+
+
 def test_lift_atom_roundtrip(op22):
     for atom in list_simples(op22):
         assert induce(op22, ModuleExpr.of(lift_atom(op22, atom))) == ModuleExpr.of(atom)

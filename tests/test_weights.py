@@ -10,6 +10,7 @@ from singlet.modules import (
     FockAtypical,
     FockTypical,
     MSimple,
+    alpha_label,
     defining_coord,
     dual_atom,
     lowest_weight,
@@ -21,6 +22,7 @@ from singlet.weights import (
     UnitPhase,
     allowed_neighbor_weights,
     conformal_weight,
+    exact,
     h0_squared,
     h_rs,
 )
@@ -64,6 +66,21 @@ def test_weight_validates_p(p):
 )
 def test_alpha_coord(p, r, s, q):
     assert alpha(Params(p), r, s) == q
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_alpha_label_inverts_alpha(p):
+    # alpha_label(p, n) is the one (r, s) with 1 <= s <= p whose alpha is n;
+    # fock() above finds the same label its own way, as Fa(r,s) for s < p.
+    params = Params(p)
+    for r in range(-4, 5):
+        for s in range(1, p + 1):
+            assert alpha_label(p, int(alpha(params, r, s))) == (r, s)
+    for n in range(-3 * p, 3 * p + 1):
+        r, s = alpha_label(p, n)
+        assert 1 <= s <= p and alpha(params, r, s) == n
+        want = MSimple(r, p) if s == p else FockAtypical(r, s)
+        assert fock(params, Fraction(n)) == want
 
 
 def test_alpha_coord_periodicity():
@@ -237,6 +254,8 @@ def test_floats_are_refused(call):
 
 
 def test_exact_numbers_are_accepted():
+    q = Fraction(7, 12)
+    assert exact(q) is q and exact(7) == Fraction(7)
     assert FockTypical(Fraction(1, 3)).q == FockTypical("1/3").q == Fraction(1, 3)
     assert conformal_weight(Params(3), 1) == conformal_weight(Params(3), Fraction(1))
     assert UnitPhase(-1).exponent == 0
