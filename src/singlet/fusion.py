@@ -426,6 +426,7 @@ class _Ladder:
         self.rows: list = [None] * (2 * params.p)
 
     def _steps(self, code: int) -> list:
+        """The base row of ``code`` as ``(key step, mult)`` pairs."""
         p = self.params.p
         return [
             (d2 * 2 * p + _code(p, cls2, b2) - code, n)

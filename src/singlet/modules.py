@@ -365,7 +365,7 @@ def alpha(p: int, r: int, s: int) -> int:
 def alpha_label(p: int, n: int) -> tuple:
     """The (r, s) with 1 <= s <= p and alpha_{r,s} = n: every int is
     alpha_{r,s} for exactly one such pair."""
-    up = -(-n // p)  # the least multiple of p at or above n, over p
+    up = -(-n // p)  # ceil(n / p)
     return up + 1, p * up - n + 1
 
 
