@@ -121,7 +121,8 @@ class QSeries(Value):
 
 
 class CharacterSum:
-    """Finite map from exponent-mod-1 cosets to truncated series."""
+    """Finite map from exponent-mod-1 cosets to truncated series; its text
+    is one series per line, or ``0``."""
 
     __slots__ = ("_series",)
 
@@ -142,7 +143,7 @@ class CharacterSum:
         return isinstance(other, CharacterSum) and self._series == other._series
 
     def __str__(self):
-        return "; ".join(str(s) for s in self.series()) or "0"
+        return "\n".join(str(s) for s in self.series()) or "0"
 
     def to_json(self) -> dict:
         return {

@@ -43,13 +43,15 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, condition: bool, description: str, *labels):
-        """Count one case.  A failing case records ``description`` with the
-        text labels (:func:`label`) of ``labels`` put into its ``{}``
-        fields; a passing case formats nothing."""
+    def check(self, condition: bool, description: str, *values):
+        """Count one case.  A failing case records ``description`` with
+        ``values`` put into its ``{}`` fields, a module label as its text
+        label (:func:`label`) and any other value by ``str``; a passing case
+        formats nothing."""
         self.cases += 1
         if not condition:
-            self.failures.append(description.format(*map(label, labels)))
+            texts = [label(v) if hasattr(v, "_TAG") else str(v) for v in values]
+            self.failures.append(description.format(*texts))
 
 
 _TYPICAL_COORDS = (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3), Fraction(5, 6))
@@ -199,13 +201,13 @@ def _suite_grading(params: Params) -> SuiteResult:
     for q in sample_coords():
         res.check(
             4 * p * conformal_weight(params, q) + (p - 1) ** 2 == (q + p - 1) ** 2,
-            f"weight identity failed at q={q}",
+            "weight identity failed at q={}", q,
         )
         allowed = allowed_neighbor_weights(params, q, "via12")
         for out in fusion.fuse(params, MSimple(1, 2), FockTypical(q)).atoms():
             res.check(
                 conformal_weight(params, out.q) in allowed,
-                f"neighbor-weight audit failed at q={q} -> {label(out)}",
+                "neighbor-weight audit failed at q={} -> {}", q, out,
             )
     return res
 
@@ -249,13 +251,13 @@ def _suite_characters(params: Params, order: int) -> SuiteResult:
             series = ch_vir_irr(params, r, s, order)
             res.check(
                 series.coeffs[0] == 1 and all(c >= 0 for c in series.coeffs),
-                f"Virasoro character sanity failed at ({r},{s})",
+                "Virasoro character sanity failed at ({},{})", r, s,
             )
     for q in _TYPICAL_COORDS:
         res.check(
             ch_expr(params, FockTypical(q), order)
             == ch_expr(params, FockTypical(2 - 2 * p - q), order),
-            f"contragredient Fock characters differ at q={q}",
+            "contragredient Fock characters differ at q={}", q,
         )
     return res
 
@@ -274,7 +276,7 @@ def _suite_oracle(params: Params) -> SuiteResult:
     for q in _TYPICAL_COORDS:
         res.check(
             fusion.fuse(params, FockTypical(q), FockTypical(2 - 2 * p - q)) == pairing,
-            f"dual pairing identity failed at q={q}",
+            "dual pairing identity failed at q={}", q,
         )
     for q in _TYPICAL_COORDS[:3]:
         for q2 in _TYPICAL_COORDS:
@@ -286,7 +288,7 @@ def _suite_oracle(params: Params) -> SuiteResult:
             rhs = ModuleExpr.of(
                 *(FockTypical(q + 2 - 2 * p + 2 * (l1 + l2)) for l1 in range(p) for l2 in range(p))
             )
-            res.check(lhs == rhs, f"triple product identity failed at q={q}, mu={q2}")
+            res.check(lhs == rhs, "triple product identity failed at q={}, mu={}", q, q2)
     return res
 
 
@@ -297,7 +299,7 @@ def _suite_orbifold(params: Params, m: int) -> SuiteResult:
     simples = orbifold.list_simples(op)
     res.check(
         len(simples) == len(set(simples)) == 2 * p * m * m,
-        f"simple count is not 2pm^2 at (p,m)=({p},{m})",
+        "simple count is not 2pm^2 at (p,m)=({},{})", p, m,
     )
     atoms = [a for a in universe(params) if orbifold.is_local(op, a)]
     induced = [orbifold.induce(op, ModuleExpr.of(x)) for x in atoms]
@@ -316,7 +318,7 @@ def _suite_orbifold(params: Params, m: int) -> SuiteResult:
             if s == p:
                 res.check(
                     cover == w and layers == [[cover]],
-                    f"simple projective column failed at W({r},{s})",
+                    "simple projective column failed at {}", w,
                 )
                 continue
             x = orbifold.WSimple(r, p - s)

@@ -23,7 +23,7 @@ import sys
 from types import SimpleNamespace
 
 from . import checks
-from .characters import ch_expr, check_order
+from .characters import CharacterSum, ch_expr, check_order
 from .errors import ExprSemanticError, SingletError
 from .fusion import fuse
 from .modules import (
@@ -69,12 +69,17 @@ class _Help(Exception):
 
 
 class _Output:
-    """A command's result: its JSON value, its text form and its exit code."""
+    """A result that is not a library value: a function that builds its JSON
+    value, one that builds its text, and its exit code.  Like a library value
+    it has ``to_json()`` and ``str()``, so only the form asked for is built."""
 
-    __slots__ = ("data", "text", "code")
+    __slots__ = ("to_json", "_text", "code")
 
-    def __init__(self, data, text: str, code: int = 0):
-        self.data, self.text, self.code = data, text, code
+    def __init__(self, to_json, text, code: int = 0):
+        self.to_json, self._text, self.code = to_json, text, code
+
+    def __str__(self):
+        return self._text()
 
 
 class _Call:
@@ -110,10 +115,6 @@ def _order(args, default: int) -> int:
     return order
 
 
-def _expr(expr: ModuleExpr) -> _Output:
-    return _Output(expr.to_json(), str(expr))
-
-
 def _layers_json(layers):
     return [[label(a) for a in layer] for layer in layers]
 
@@ -122,43 +123,28 @@ def _layers_text(layers) -> str:
     return " | ".join(", ".join(label(a) for a in layer) for layer in layers)
 
 
-def _printed(to_text):
-    """``to_text()``, with the interpreter's limit on the digits of an int
-    turned into text reported as a user error: a coordinate of thousands of
-    digits has a conformal weight of twice as many.  ``to_text`` only turns
-    computed values into text, so its only ValueError is that limit."""
-    try:
-        return to_text()
-    except ValueError:
-        raise SingletError(
-            f"the result has a number of more than {sys.get_int_max_str_digits()} digits, "
-            "too long to print"
-        ) from None
-
-
 def _phase_table(call: _Call, value_of) -> _Output:
-    values = [(label(atom), value_of(atom)) for atom in call.singlet_expr(call.args.x).atoms()]
-    table = _printed(lambda: [(atom, str(value)) for atom, value in values])
+    rows = [(atom, value_of(atom)) for atom in call.singlet_expr(call.args.x).atoms()]
     return _Output(
-        [{"atom": atom, "value": value} for atom, value in table],
-        "\n".join(f"{atom}: {value}" for atom, value in table),
+        lambda: [{"atom": label(atom), "value": str(value)} for atom, value in rows],
+        lambda: "\n".join(f"{label(atom)}: {value}" for atom, value in rows),
     )
 
 
-def _fuse(call: _Call) -> _Output:
-    return _expr(fuse(call.params, call.singlet_expr(call.args.x), call.singlet_expr(call.args.y)))
+def _fuse(call: _Call) -> ModuleExpr:
+    return fuse(call.params, call.singlet_expr(call.args.x), call.singlet_expr(call.args.y))
 
 
-def _dual(call: _Call) -> _Output:
-    return _expr(dual_op(call.params, call.singlet_expr(call.args.x)))
+def _dual(call: _Call) -> ModuleExpr:
+    return dual_op(call.params, call.singlet_expr(call.args.x))
 
 
-def _kclass(call: _Call) -> _Output:
-    return _expr(k_class_op(call.params, call.singlet_expr(call.args.x)))
+def _kclass(call: _Call) -> ModuleExpr:
+    return k_class_op(call.params, call.singlet_expr(call.args.x))
 
 
-def _factors(call: _Call) -> _Output:
-    return _expr(verma_quotient_factors(call.params, call.args.r, call.args.s))
+def _factors(call: _Call) -> ModuleExpr:
+    return verma_quotient_factors(call.params, call.args.r, call.args.s)
 
 
 def _loewy(call: _Call) -> _Output:
@@ -174,19 +160,15 @@ def _loewy(call: _Call) -> _Output:
             layers = [[atom]]
     else:
         layers = loewy_layers(call.params, atom)
-    return _Output({"layers": _layers_json(layers)}, _layers_text(layers))
+    return _Output(lambda: {"layers": _layers_json(layers)}, lambda: _layers_text(layers))
 
 
-def _char(call: _Call) -> _Output:
+def _char(call: _Call) -> CharacterSum:
     order = _order(call.args, _DEFAULT_ORDER)
     expr = call.parse(call.args.x)
     if is_orbifold_expr(expr):
-        result = orbifold_char_expr(call.orbifold(), expr, order)
-    else:
-        result = ch_expr(call.params, expr, order)
-    return _printed(
-        lambda: _Output(result.to_json(), "\n".join(str(s) for s in result.series()) or "0")
-    )
+        return orbifold_char_expr(call.orbifold(), expr, order)
+    return ch_expr(call.params, expr, order)
 
 
 def _grade(call: _Call) -> _Output:
@@ -205,30 +187,28 @@ def _verma(call: _Call) -> _Output:
     r, s = call.args.r, call.args.s
     factors = verma_quotient_factors(call.params, r, s)
     layers = loewy_layers(call.params, GenVerma(r, s))
-    weight = lowest_weight(call.params, GenVerma(r, s))
-    h0 = _printed(lambda: str(weight))
+    h0 = lowest_weight(call.params, GenVerma(r, s))
     return _Output(
-        {"r": r, "s": s, "factors": factors.to_json(), "layers": _layers_json(layers), "h0": h0},
-        f"G({r},{s}): factors = {factors}; layers = {_layers_text(layers)}; h0 = {h0}",
+        lambda: {"r": r, "s": s, "factors": factors.to_json(), "layers": _layers_json(layers), "h0": str(h0)},
+        lambda: f"G({r},{s}): factors = {factors}; layers = {_layers_text(layers)}; h0 = {h0}",
     )
 
 
-def _induce(call: _Call) -> _Output:
-    orb = call.orbifold()
-    return _expr(induce_op(orb, call.singlet_expr(call.args.x)))
+def _induce(call: _Call) -> ModuleExpr:
+    return induce_op(call.orbifold(), call.singlet_expr(call.args.x))
 
 
 def _simples(call: _Call) -> _Output:
-    labels = [label(a) for a in list_simples(call.orbifold())]
-    return _Output(labels, "\n".join(labels))
+    simples = list_simples(call.orbifold())
+    return _Output(lambda: list(map(label, simples)), lambda: "\n".join(map(label, simples)))
 
 
-def _orbfuse(call: _Call) -> _Output:
+def _orbfuse(call: _Call) -> ModuleExpr:
     orb = call.orbifold()
     x, y = call.parse(call.args.x), call.parse(call.args.y)
     if not (is_orbifold_expr(x) and is_orbifold_expr(y)):
         raise ExprSemanticError("orbfuse works on orbifold expressions; use fuse")
-    return _expr(orbifold_fuse(orb, x, y))
+    return orbifold_fuse(orb, x, y)
 
 
 def _check(call: _Call) -> _Output:
@@ -237,13 +217,15 @@ def _check(call: _Call) -> _Output:
     names = checks.SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = checks.run_suites(names, call.params, m=args.m, order=order)
     ok = all(r.ok for r in results)
-    lines = [f"{r.name}: {r.cases} cases, {len(r.failures)} failures" for r in results]
-    for r in results:
-        lines.extend(f"  FAIL {r.name}: {f}" for f in r.failures)
-    lines.append("PASS" if ok else "FAIL")
+
+    def text():
+        lines = [f"{r.name}: {r.cases} cases, {len(r.failures)} failures" for r in results]
+        lines += [f"  FAIL {r.name}: {f}" for r in results for f in r.failures]
+        return "\n".join(lines + ["PASS" if ok else "FAIL"])
+
     return _Output(
-        {"ok": ok, "suites": [{"name": r.name, "cases": r.cases, "failures": r.failures} for r in results]},
-        "\n".join(lines),
+        lambda: {"ok": ok, "suites": [{"name": r.name, "cases": r.cases, "failures": r.failures} for r in results]},
+        text,
         0 if ok else 1,
     )
 
@@ -479,10 +461,21 @@ def _help(command=None) -> str:
     return "\n".join(blocks)
 
 
-def _render(output: _Output, as_json: bool) -> tuple[str, int]:
-    """The one place output is formatted; JSON is compact and canonical."""
-    text = json.dumps(output.data, separators=(",", ":")) if as_json else output.text
-    return text, output.code
+def _render(value, as_json: bool) -> tuple[str, int]:
+    """The one place output is formatted: compact canonical JSON or the text,
+    whichever was asked for, and the exit code (0 but for a failing check).
+    Formatting only turns computed values into text, so its only ValueError
+    is the interpreter's limit on the digits of an int turned into text,
+    reported as a user error: a coordinate of thousands of digits has a
+    conformal weight of twice as many."""
+    try:
+        text = json.dumps(value.to_json(), separators=(",", ":")) if as_json else str(value)
+    except ValueError:
+        raise SingletError(
+            f"the result has a number of more than {sys.get_int_max_str_digits()} digits, "
+            "too long to print"
+        ) from None
+    return text, getattr(value, "code", 0)
 
 
 def run_command(args) -> tuple[str, int]:

@@ -129,7 +129,7 @@ def conformal_weight(params: Params, q) -> Fraction:
     """Lowest conformal weight (q^2 + 2q(p-1)) / 4p of the Fock module at
     coordinate ``q``, as one Fraction of the ints of q = n/d.
 
-    At the defining coordinate of M(r,s) with r >= 1 this is h_{r,s}.
+    At the defining coordinate of M(r,s) this is h_{r,s}.
     Satisfies 4p*h + (p-1)^2 = (q+p-1)^2 exactly.
     """
     q = exact(q)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from singlet.characters import ch_expr
 from singlet.checks import SUITE_NAMES
 from singlet.cli import main
 from singlet.errors import ExprSemanticError, ExprSyntaxError
@@ -156,6 +157,53 @@ def test_result_past_the_int_digit_limit_is_a_user_error():
         code, out, err = run_cli("--p", "2", *argv)
         assert (code, err) == (0, ""), argv[0]
         assert big in out
+
+
+# Every command that can print a number past the limit, on labels whose own
+# numbers are within it.
+_NINES = "9" * _INT_DIGIT_LIMIT
+_PAST_THE_LIMIT = [
+    ("fuse", "M(1,2)", f"F({_NINES}/2)"),
+    ("dual", f"F({_NINES}/2)"),
+    ("kclass", f"P({_NINES},1)"),
+    ("factors", _NINES, "1"),
+    ("loewy", f"P({_NINES},1)"),
+    ("verma", _NINES, "1"),
+    ("grade", f"F(-1/{_NINES})"),
+    ("twist", f"F(-1/{_NINES})"),
+    ("monodromy", f"F(-1/{_NINES})"),
+    ("char", f"F(-1/{_NINES})"),
+]
+
+
+@pytest.mark.skipif(not _INT_DIGIT_LIMIT, reason="this interpreter converts integers of any length")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", _PAST_THE_LIMIT, ids=lambda argv: argv[0])
+def test_every_command_reports_a_result_past_the_int_digit_limit(argv, fmt):
+    message = f"error: the result has a number of more than {_INT_DIGIT_LIMIT} digits, too long to print\n"
+    assert run_cli("--p", "2", "--format", fmt, "--order", "2", *argv) == (1, "", message)
+
+
+def _refuse(self):
+    raise AssertionError("built a format that was not asked for")
+
+
+def test_a_call_builds_only_the_format_asked_for(monkeypatch):
+    argv = ["--p", "2", "fuse", "M(1,2)", "M(1,2)"]
+    with monkeypatch.context() as patch:
+        patch.setattr(ModuleExpr, "to_json", _refuse)
+        assert run_cli(*argv) == (0, "P(1,1)\n", "")
+    with monkeypatch.context() as patch:
+        patch.setattr(ModuleExpr, "__str__", _refuse)
+        out = '[{"species":"P","r":1,"s":1,"mult":1}]\n'
+        assert run_cli("--format", "json", *argv) == (0, out, "")
+
+
+def test_a_character_prints_as_its_text_form():
+    params = Params(3)
+    ch = ch_expr(params, parse_expr("P(1,1) + F(1/2)", params), 20)
+    assert len(ch.series()) == 2
+    assert run_cli("--p", "3", "char", "P(1,1) + F(1/2)") == (0, f"{ch}\n", "")
 
 
 def test_scanner_classes_are_ascii_digits_and_whitespace():

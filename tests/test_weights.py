@@ -117,7 +117,7 @@ def test_typical_lowest_weight_is_the_conformal_weight():
 
 
 def test_conformal_weight_matches_kac_table(p3):
-    for r in range(1, 5):
+    for r in range(-3, 5):
         for s in range(1, 4):
             assert conformal_weight(p3, alpha(p3, r, s)) == h_rs(p3, r, s)
 
