@@ -18,7 +18,6 @@ Everything is exact integer arithmetic.
 
 from __future__ import annotations
 
-from _thread import allocate_lock
 from fractions import Fraction
 from itertools import chain
 from operator import add
@@ -36,7 +35,6 @@ __all__ = [
 ]
 
 _partitions = [1]
-_partitions_lock = allocate_lock()
 _TERM_BLOCK = 1024
 
 
@@ -90,10 +88,9 @@ def partition_numbers(n: int) -> list[int]:
     if n.__class__ is int and n < 0:
         return []
     check_order(n)
-    with _partitions_lock:
-        if len(_partitions) <= n:
-            _extend_partitions(n + 1)
-        return _partitions[: n + 1]
+    if len(_partitions) <= n:
+        _extend_partitions(n + 1)
+    return _partitions[: n + 1]
 
 
 _setattr = object.__setattr__
@@ -112,10 +109,6 @@ class QSeries(Value):
         _setattr(self, "h0", exact(h0))
         _setattr(self, "coeffs", coeffs)
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
     def __str__(self):
         return f"q^({self.h0}) * {list(self.coeffs)}"
 
@@ -129,9 +122,6 @@ class CharacterSum:
     def __init__(self, series):
         items = sorted(series.items() if isinstance(series, dict) else series, key=lambda kv: kv[1].h0)
         object.__setattr__(self, "_series", dict(items))
-
-    def items(self):
-        return list(self._series.items())
 
     def series(self):
         return list(self._series.values())

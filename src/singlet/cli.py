@@ -11,8 +11,8 @@ Two tables define the whole command line: ``_FLAGS``, the global flags, and
 them as argparse did, with argparse's error texts: flags in any order before
 the command, the last one winning, ``--flag=value``, unique prefixes of a
 flag, negative numbers as values, and ``--`` before positionals.  ``_help``
-builds from them the text argparse printed for ``--help`` at 80 columns; its
-description is the first two paragraphs of this docstring.
+has argparse lay out ``--help`` from them at 80 columns; its description is
+the first two paragraphs of this docstring.
 """
 
 from __future__ import annotations
@@ -397,68 +397,30 @@ def _parse(argv) -> SimpleNamespace:
 
 
 def _help(command=None) -> str:
-    """What argparse printed for ``--help`` of ``command`` (None: of the
-    program) at 80 columns."""
-    import textwrap
+    """What ``--help`` prints for ``command`` (None: for the program):
+    argparse's layout at 80 columns, whatever the terminal.  Only help
+    imports argparse."""
+    import argparse
 
-    if command is None:
-        prog, rows = "singlet", _FLAGS
-        positionals = [("COMMAND", None, 2)] + [(name, entry[0], 4) for name, entry in _COMMANDS.items()]
-        pos_parts = ["COMMAND", "..."]
-    else:
-        prog, rows = f"singlet {command}", _COMMANDS[command][1]
-        positionals, pos_parts = [], []
-    opt_parts, options = ["[-h]"], [("-h, --help", "show this help message and exit", 2)]
-    for name, kind, default, help_text in rows:
-        if isinstance(kind, tuple):
-            metavar = "{%s}" % ",".join(kind)
-        else:
-            metavar = name.lstrip("-").upper() if name[0] == "-" else name
-        if name[0] == "-":
-            options.append((f"{name} {metavar}", help_text, 2))
-            opt_parts += [name, metavar] if default is _REQUIRED else [f"[{name} {metavar}]"]
-        else:
-            positionals.append((metavar, help_text, 2))
-            pos_parts.append(metavar)
+    def parser(prog, rows, **kwargs):
+        out = argparse.ArgumentParser(
+            prog, formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78), **kwargs
+        )
+        out.color = False  # Python 3.14 colours help on a terminal; earlier ones ignore this
+        for name, kind, default, help_text in rows:
+            options = {"choices": kind} if isinstance(kind, tuple) else {}
+            if name[0] == "-":
+                options["required"] = default is _REQUIRED
+            out.add_argument(name, help=help_text, **options)
+        return out
 
-    usage = " ".join([prog] + opt_parts + pos_parts)
-    if len("usage: " + usage) > 78:  # flags after the program, then the positionals
-        indent = " " * len(f"usage: {prog} ")
-
-        def wrap_usage(parts, length):
-            out, line = [], []
-            for part in parts:
-                if line and length + 1 + len(part) > 78:
-                    out.append(indent + " ".join(line))
-                    line, length = [], len(indent) - 1
-                line.append(part)
-                length += len(part) + 1
-            return out + [indent + " ".join(line)] if line else out
-
-        usage = "\n".join(wrap_usage([prog] + opt_parts, 6) + wrap_usage(pos_parts, len(indent) - 1))
-        usage = usage[len(indent) :]
-
-    column = min(max(len(item[0]) for item in positionals + options) + 4, 24)
-
-    def entry(invocation, help_text, indent):
-        if not help_text:
-            return " " * indent + invocation + "\n"
-        lines = textwrap.wrap(" ".join(help_text.split()), 78 - column)
-        width = column - indent - 2
-        if len(invocation) <= width:
-            head = " " * indent + invocation.ljust(width) + "  "
-        else:
-            head = " " * indent + invocation + "\n" + " " * column
-        return head + lines[0] + "\n" + "".join(" " * column + line + "\n" for line in lines[1:])
-
-    blocks = [f"usage: {usage}\n"]
-    description = "\n\n".join((__doc__ or "").split("\n\n")[:2])
-    if command is None and description:
-        blocks.append(textwrap.fill(" ".join(description.split()), 78) + "\n")
-    if positionals:
-        blocks.append("positional arguments:\n" + "".join(entry(*item) for item in positionals))
-    blocks.append("options:\n" + "".join(entry(*item) for item in options))
-    return "\n".join(blocks)
+    if command is not None:
+        return parser(f"singlet {command}", _COMMANDS[command][1]).format_help()
+    top = parser("singlet", _FLAGS, description=__doc__ and "\n\n".join(__doc__.split("\n\n")[:2]))
+    commands = top.add_subparsers(metavar="COMMAND")
+    for name, (help_text, _, _) in _COMMANDS.items():
+        commands.add_parser(name, help=help_text)
+    return top.format_help()
 
 
 def _render(value, as_json: bool) -> tuple[str, int]:

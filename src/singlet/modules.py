@@ -13,8 +13,9 @@ Labels are frozen values with ``__slots__``, so that no label carries a
 and repr are the one rule of :class:`~singlet.weights.Value`: equal only
 within a species, on equal fields.  Every label is a ``PairLabel`` of two
 ints (r, s) or a ``CoordLabel`` of one rational q; these two state that
-equality and hash without building a field tuple, and a ``CoordLabel``
-compares the (numerator, denominator) ints of q and caches its hash.
+rule directly.  A ``PairLabel`` compares r and s without building a
+tuple and hashes ``(r, s)``; a ``CoordLabel`` compares the (numerator,
+denominator) ints of q and caches its hash.
 A label checks its fields once, when it is made, so a label equal to a
 valid one is valid and no cache keyed by labels checks them again; the
 rules that depend on p are :func:`normalize_atom`'s.
@@ -90,8 +91,9 @@ class PairLabel(Value):
         _setattr(self, "r", r)
         _setattr(self, "s", s)
 
-    # The rule of Value, without building a tuple: these labels are hashed
-    # on every id-table lookup and every closed-form dict.
+    # The rule of Value, stated directly: these labels are hashed on every
+    # id-table lookup and every closed-form dict.  Equality builds no tuple;
+    # the hash is that of (r, s), as in Value.
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -52,7 +52,8 @@ class Value:
     rebuild the object from the tuple.  ``UnitPhase`` keeps a shorter
     repr, and the two label shapes hashed on every product,
     ``PairLabel`` and ``CoordLabel``, state the same equality and hash
-    without building a tuple.
+    directly: neither builds a tuple to compare, ``PairLabel`` hashes
+    ``(r, s)`` and ``CoordLabel`` caches its hash.
     """
 
     __slots__ = ()

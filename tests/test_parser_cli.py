@@ -582,6 +582,13 @@ def test_cli_call_leaves_argparse_and_shutil_unloaded():
     assert _loaded_by_cli_import(*names, argv=["--p", "2", "fuse", "M(1,2)"]) == []
 
 
-def test_cli_help_ignores_the_terminal_width(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "40")
-    assert run_cli("--help") == (0, _HELP, "")
+# A narrow terminal, or colour asked for without one (Python 3.14 colours
+# help), changes no byte of the help.
+@pytest.mark.parametrize("env", ["COLUMNS=40", "FORCE_COLOR=1", "PYTHON_COLORS=1"])
+@pytest.mark.parametrize(
+    "argv, text", [(["--help"], _HELP), (["check", "--help"], _CHECK_HELP)], ids=["top", "check"]
+)
+def test_cli_help_ignores_the_terminal_width(monkeypatch, env, argv, text):
+    name, _, value = env.partition("=")
+    monkeypatch.setenv(name, value)
+    assert run_cli(*argv) == (0, text, "")
