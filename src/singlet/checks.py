@@ -334,11 +334,8 @@ def _suite_orbifold(params: Params, m: int) -> SuiteResult:
     ws = [a for a in simples if isinstance(a, orbifold.WSimple)]
     vs = [a for a in simples if isinstance(a, orbifold.VTypical)]
     for atom in ws[: 2 * p] + vs[: 2 * p]:
-        if isinstance(atom, orbifold.WSimple):
-            lifts = [MSimple(atom.r + op.r_modulus * n, atom.s) for n in range(-8, 9)]
-        else:
-            lifts = [FockTypical(atom.q + op.q_modulus * n) for n in range(-8, 9)]
-        brute = ModuleExpr.of(*lifts)
+        lift = orbifold.lift_atom(op, atom)
+        brute = ModuleExpr.of(*(modules.shift(params, lift, op.r_modulus * n) for n in range(-8, 9)))
         res.check(
             orbifold.orbifold_char_expr(op, atom, depth) == ch_expr(params, brute, depth),
             "orbit character window failed at {}", atom,

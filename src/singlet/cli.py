@@ -41,13 +41,11 @@ from .modules import dual as dual_op
 from .modules import k_class as k_class_op
 from .orbifold import (
     OrbifoldParams,
-    RProj,
-    WSimple,
     induce as induce_op,
     list_simples,
     orbifold_char_expr,
     orbifold_fuse,
-    orbifold_projective_cover,
+    orbifold_loewy_layers,
 )
 from .parser import is_orbifold_expr, parse_expr
 from .weights import Params
@@ -153,11 +151,7 @@ def _loewy(call: _Call) -> _Output:
         raise ExprSemanticError("loewy takes a single indecomposable label")
     atom = expr.atoms()[0]
     if is_orbifold_expr(expr):
-        orb = call.orbifold()
-        if isinstance(atom, RProj):
-            _, layers = orbifold_projective_cover(orb, WSimple(atom.r, atom.s))
-        else:
-            layers = [[atom]]
+        layers = orbifold_loewy_layers(call.orbifold(), atom)
     else:
         layers = loewy_layers(call.params, atom)
     return _Output(lambda: {"layers": _layers_json(layers)}, lambda: _layers_text(layers))

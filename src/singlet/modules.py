@@ -284,6 +284,8 @@ class ModuleExpr:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "ModuleExpr") -> "ModuleExpr":
+        if not isinstance(other, ModuleExpr):
+            return NotImplemented
         return ModuleExpr.combine(((1, self), (1, other)))
 
     def __rmul__(self, n: int) -> "ModuleExpr":

@@ -17,9 +17,11 @@ depend on the chosen lifts.
 Each orbifold species is the induction of one singlet species: the table
 ``_LIFTS`` maps each orbifold class to the singlet class of its canonical lift
 and to its normalizer, and lifting, induction and normalization all read it.
-An :class:`OrbifoldParams` keeps every image that induction has made and
-every lift that :func:`orbifold_fuse` has made (successes only), so a label
-is validated and converted once per parameter set.
+:func:`lift_atom` is the one lift: products, characters, Loewy layers and
+covers (the induced layers of a lift) all go through it.  An
+:class:`OrbifoldParams` keeps every image that induction has made and every
+lift that :func:`lift_atom` has made (successes only), so a label is
+validated and converted once per parameter set.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ __all__ = [
     "induce",
     "lift_atom",
     "orbifold_fuse",
+    "orbifold_loewy_layers",
     "orbifold_projective_cover",
     "orbifold_char_expr",
 ]
@@ -73,7 +76,7 @@ class OrbifoldParams(Value):
     """Orbifold parameters: singlet p and cyclic order m >= 1.  ``singlet`` is
     the one :class:`Params` of p, built and checked once; ``images`` maps each
     singlet label already induced to its orbifold label, and ``lifts`` each
-    orbifold label already lifted by :func:`orbifold_fuse` to its canonical
+    orbifold label already lifted by :func:`lift_atom` to its canonical
     singlet lift (successes only, so a bad label is checked on every call).
     None of these is a field: equality, hash and repr read (p, m) only."""
 
@@ -147,14 +150,10 @@ _LIFTS = {
 _IMAGES = {lift: normalize for lift, normalize in _LIFTS.values()}
 
 
-def _lift_entry(atom) -> tuple:
+def normalize_orbifold_atom(op: OrbifoldParams, atom):
     if atom.__class__ not in _LIFTS:
         raise DomainError(f"not an orbifold module label: {atom!r}")
-    return _LIFTS[atom.__class__]
-
-
-def normalize_orbifold_atom(op: OrbifoldParams, atom):
-    return _lift_entry(atom)[1](op, *atom._values())
+    return _LIFTS[atom.__class__][1](op, *atom._values())
 
 
 def list_simples(op: OrbifoldParams) -> list:
@@ -195,17 +194,13 @@ def induce(op: OrbifoldParams, x) -> ModuleExpr:
 
 
 def lift_atom(op: OrbifoldParams, atom):
-    """Canonical singlet representative of an orbifold label."""
-    return _lift_entry(atom)[0](*atom._values())
-
-
-def _lift(op: OrbifoldParams, atom):
-    """The canonical singlet lift of one orbifold label, read from
-    ``op.lifts`` or computed and kept there; a bad label raises and is not
-    kept."""
-    lift = op.lifts.get(atom)
+    """The canonical singlet lift of an orbifold label, read from ``op.lifts``
+    or computed and kept there; a bad label raises the normalizer's error and
+    is not kept, and a value that is not an orbifold label is refused."""
+    lift = op.lifts.get(atom) if atom.__class__ in _LIFTS else None
     if lift is None:
-        lift = op.lifts[atom] = lift_atom(op, normalize_orbifold_atom(op, atom))
+        canon = normalize_orbifold_atom(op, atom)
+        lift = op.lifts[atom] = _LIFTS[canon.__class__][0](*canon._values())
     return lift
 
 
@@ -221,24 +216,31 @@ def orbifold_fuse(op: OrbifoldParams, x, y) -> ModuleExpr:
     """
 
     def lift(z) -> ModuleExpr:
-        return as_expr(z).expand(lambda atom: (_lift(op, atom),))
+        return as_expr(z).expand(lambda atom: (lift_atom(op, atom),))
 
     return induce(op, fuse(op.singlet, lift(x), lift(y)))
 
 
+def orbifold_loewy_layers(op: OrbifoldParams, atom) -> list[list]:
+    """Socle series of an orbifold label, top layer first, socle last.
+    Induction is exact, so these are the induced layers of its canonical
+    singlet lift, each canonically sorted."""
+    return [
+        sorted((_induce_atom(op, a) for a in layer), key=sort_key)
+        for layer in loewy_layers(op.singlet, lift_atom(op, atom))
+    ]
+
+
 def orbifold_projective_cover(op: OrbifoldParams, w) -> tuple:
     """Projective cover of a simple orbifold module, with its socle series
-    (top first, socle last).  Induction is exact, so these are the induced
-    singlet cover and its induced layers: P(r,s) for W(r,s), which is M(r,p)
-    at s = p, and F(q) itself for V(q)."""
+    (top first, socle last): R(r,s) for W(r,s), which is W(r,p) at s = p,
+    and V(q) itself for V(q).  Each is the induction of the singlet cover of
+    the lift, P(r,s) or F(q), so its layers are the induced layers."""
     atom = normalize_orbifold_atom(op, w)
     if isinstance(atom, RProj):
         raise DomainError(f"{label(atom)} is not simple")
-    cover = Proj(atom.r, atom.s) if isinstance(atom, WSimple) else lift_atom(op, atom)
-    return _induce_atom(op, cover), [
-        sorted((_induce_atom(op, a) for a in layer), key=sort_key)
-        for layer in loewy_layers(op.singlet, cover)
-    ]
+    cover = r_proj(op, atom.r, atom.s) if isinstance(atom, WSimple) else atom
+    return cover, orbifold_loewy_layers(op, cover)
 
 
 def _orbit_lifts(op: OrbifoldParams, atom, depth: int) -> list:
@@ -273,5 +275,5 @@ def orbifold_char_expr(op: OrbifoldParams, x, n: int) -> CharacterSum:
     """Truncated character of an orbifold expression (or of a single label):
     the sum of the characters of each summand's singlet lifts over its orbit."""
     check_order(n)
-    lifted = as_expr(x).expand(lambda atom: _orbit_lifts(op, normalize_orbifold_atom(op, atom), n))
+    lifted = as_expr(x).expand(lambda atom: _orbit_lifts(op, atom, n))
     return ch_expr(op.singlet, lifted, n)

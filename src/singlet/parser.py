@@ -167,4 +167,4 @@ def parse_expr(text: str, params: Params, op: OrbifoldParams | None = None) -> M
 
 
 def is_orbifold_expr(expr: ModuleExpr) -> bool:
-    return any(a.__class__ in _LIFTS for a in expr.atoms())
+    return any(a.__class__ in _LIFTS for a, _ in expr.items())

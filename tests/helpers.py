@@ -18,7 +18,7 @@ from singlet.modules import (
     normalize_atom,
     sort_key,
 )
-from singlet.orbifold import VTypical, WSimple, induce, lift_atom, normalize_orbifold_atom
+from singlet.orbifold import VTypical, WSimple, induce, lift_atom
 from singlet.weights import h_rs
 
 
@@ -291,8 +291,8 @@ def orbifold_fuse_by_term_pairs(op, x, y):
     """Oracle for ``orbifold.orbifold_fuse``: the sum over every pair of
     terms of the induced singlet product of the two canonical lifts, one
     product and one induction per pair."""
-    xs = [(lift_atom(op, normalize_orbifold_atom(op, a)), ma) for a, ma in as_expr(x).terms()]
-    ys = [(lift_atom(op, normalize_orbifold_atom(op, b)), mb) for b, mb in as_expr(y).terms()]
+    xs = [(lift_atom(op, a), ma) for a, ma in as_expr(x).terms()]
+    ys = [(lift_atom(op, b), mb) for b, mb in as_expr(y).terms()]
     pieces = []
     for a, ma in xs:
         for b, mb in ys:

@@ -86,6 +86,15 @@ def test_no_result_stores_a_zero_multiplicity():
     assert X.expand(lambda atom: (F12,)) == ModuleExpr([(F12, 3)])
 
 
+@pytest.mark.parametrize("other", [MSimple(1, 1), 1])
+def test_a_sum_with_a_non_expression_is_a_type_error(other):
+    with pytest.raises(TypeError):
+        X + other
+    with pytest.raises(TypeError):
+        other + X
+    assert sum([X, X], ModuleExpr()) == 2 * X
+
+
 @pytest.mark.parametrize("terms", [{MSimple(1, 1): -1}, [(MSimple(1, 1), 1.5)], [(F12, "1")]])
 def test_public_constructor_still_validates(terms):
     with pytest.raises(DomainError, match="multiplicity must be a nonnegative integer"):

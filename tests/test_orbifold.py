@@ -31,6 +31,7 @@ from singlet.orbifold import (
     normalize_orbifold_atom,
     orbifold_char_expr,
     orbifold_fuse,
+    orbifold_loewy_layers,
     orbifold_projective_cover,
     r_proj,
     v_typical,
@@ -168,7 +169,7 @@ def test_induce_refuses_the_structural_species(op22, atom, text):
 
 
 @pytest.mark.parametrize("convert", [lift_atom, normalize_orbifold_atom])
-@pytest.mark.parametrize("atom", [MSimple(1, 1), "x"])
+@pytest.mark.parametrize("atom", [MSimple(1, 1), "x", [1]])
 def test_only_orbifold_labels_lift_and_normalize(op22, convert, atom):
     with pytest.raises(DomainError) as err:
         convert(op22, atom)
@@ -207,6 +208,20 @@ def test_orbifold_fuse_keeps_the_lifts_of_good_labels_only():
             assert str(err.value) == error
             assert bad not in op.lifts and len(op.lifts) == 4
     assert orbifold_fuse(op, good, WSimple(0, 3)) == expected
+
+
+def test_lift_atom_normalizes_and_keeps_good_labels_only():
+    op = OrbifoldParams(2, 2)
+    assert lift_atom(op, WSimple(9, 1)) == MSimple(1, 1)
+    assert lift_atom(op, RProj(1, 2)) == MSimple(1, 2)
+    assert op.lifts == {WSimple(9, 1): MSimple(1, 1), RProj(1, 2): MSimple(1, 2)}
+    for bad, error in ((WSimple(1, 99), "W label needs 1 <= s <= 2, got s=99"),
+                       (VTypical(Fraction(1, 3)), "V coordinate must have m*q integral, got q=1/3 at m=2")):
+        for _ in range(2):
+            with pytest.raises(DomainError) as err:
+                lift_atom(op, bad)
+            assert str(err.value) == error
+            assert bad not in op.lifts and len(op.lifts) == 2
 
 
 def test_lift_atom_roundtrip(op22):
@@ -284,6 +299,17 @@ def test_cover_layers_match_induced_projective(op21, op22):
                 assert layers[0] == layers[2] == [w]
                 middle = orbifold_fuse(op, currents, WSimple(r, op.p - s))
                 assert ModuleExpr.of(*layers[1]) == middle
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (3, 2)])
+def test_loewy_layers_are_the_induced_layers_of_a_lift(p, m):
+    op = OrbifoldParams(p, m)
+    for atom in list_simples(op):
+        assert orbifold_loewy_layers(op, atom) == [[atom]]
+    for r in range(op.r_modulus):
+        for s in range(1, p):
+            cover_layers = orbifold_projective_cover(op, WSimple(r, s))[1]
+            assert orbifold_loewy_layers(op, RProj(r, s)) == cover_layers
 
 
 def test_orbifold_char_examples(op21, op22):
