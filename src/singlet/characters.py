@@ -23,7 +23,7 @@ from itertools import chain
 from operator import add
 
 from .errors import DomainError
-from .modules import FockTypical, _check_rs, k_class, lowest_weight
+from .modules import FockTypical, MSimple, check_s, k_class, lowest_weight
 from .weights import Params, Value, exact, h_rs
 
 __all__ = [
@@ -171,7 +171,7 @@ def ch_vir_irr(params: Params, r: int, s: int, n: int) -> QSeries:
 
     One embedding subtraction suffices: the numerator is 1 - q^gap.
     """
-    _check_rs(params.p, r, s, "Virasoro irreducible")
+    check_s(params.p, MSimple(r, s))
     if r < 1:
         raise DomainError(f"Virasoro irreducible needs r >= 1, got r={r}")
     check_order(n)

@@ -18,7 +18,8 @@ tuple and hashes ``(r, s)``; a ``CoordLabel`` compares the (numerator,
 denominator) ints of q and caches its hash.
 A label checks its fields once, when it is made, so a label equal to a
 valid one is valid and no cache keyed by labels checks them again; the
-rules that depend on p are :func:`normalize_atom`'s.
+rules that depend on p are :func:`normalize_atom`'s, and its s-range test,
+:func:`check_s`, is the one every pair label of any family goes through.
 
 ``Proj(r, p)`` and ``FockAtypical(r, p)`` are never stored; the label
 conventions collapse both to ``MSimple(r, p)`` in :func:`normalize_atom` only.
@@ -57,6 +58,7 @@ __all__ = [
     "as_expr",
     "label",
     "sort_key",
+    "check_s",
     "normalize_atom",
     "shift",
     "alpha",
@@ -87,7 +89,7 @@ class PairLabel(Value):
 
     def __init__(self, r: int, s: int):
         if r.__class__ is not int or s.__class__ is not int:
-            raise DomainError(f"label {self._TAG}({r},{s}) needs integer r and s")
+            raise DomainError(f"label {self._TAG}({r!r},{s!r}) needs integer r and s")
         _setattr(self, "r", r)
         _setattr(self, "s", s)
 
@@ -182,13 +184,11 @@ def sort_key(atom):
         raise DomainError(f"not a module label: {atom!r}") from None
 
 
-def _check_rs(p: int, r, s, what: str):
-    """Raise DomainError, naming ``what``, unless r and s are ints (by the
-    rule of :class:`PairLabel`) and 1 <= s <= p."""
-    if r.__class__ is not int or s.__class__ is not int:
-        raise DomainError(f"{what} needs integer r and s, got r={r!r}, s={s!r}")
-    if not 1 <= s <= p:
-        raise DomainError(f"{what} needs 1 <= s <= {p}, got s={s}")
+def check_s(p: int, atom):
+    """Raise the one s-range DomainError of every label family unless the
+    pair label ``atom``, of any species, has 1 <= s <= p."""
+    if not 1 <= atom.s <= p:
+        raise DomainError(f"label {label(atom)} needs 1 <= s <= {p}")
 
 
 def normalize_atom(params: Params, atom):
@@ -200,8 +200,7 @@ def normalize_atom(params: Params, atom):
         return atom
     if not isinstance(atom, (MSimple, Proj, FockAtypical, GenVerma)):
         raise DomainError(f"not a singlet module label: {atom!r}")
-    if not 1 <= atom.s <= p:
-        raise DomainError(f"label {label(atom)} needs 1 <= s <= {p}")
+    check_s(p, atom)
     if isinstance(atom, (Proj, FockAtypical)) and atom.s == p:
         return MSimple(atom.r, p)
     return atom
@@ -428,7 +427,6 @@ def _layers(p: int, atom) -> tuple:
 
 def verma_quotient_factors(params: Params, r: int, s: int) -> ModuleExpr:
     """Composition factors of the generalized Verma quotient G(r, s)."""
-    _check_rs(params.p, r, s, "verma quotient")
     return k_class(params, GenVerma(r, s))
 
 
@@ -485,7 +483,7 @@ def monodromy_phase_with_m21(params: Params, atom) -> UnitPhase:
 def virasoro_induce(params: Params, r: int, s: int) -> ModuleExpr:
     """Induction of the irreducible Virasoro module at (r, s), r >= 1:
     the direct sum of MSimple(2k - r, s) for k = 1..r."""
-    _check_rs(params.p, r, s, "induction")
+    check_s(params.p, MSimple(r, s))
     if r < 1:
         raise DomainError(f"induction needs r >= 1, got r={r}")
     return ModuleExpr.of(*(MSimple(2 * k - r, s) for k in range(1, r + 1)))

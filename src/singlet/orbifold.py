@@ -38,8 +38,8 @@ from .modules import (
     MSimple,
     PairLabel,
     Proj,
-    _check_rs,
     as_expr,
+    check_s,
     defining_coord,
     label,
     loewy_layers,
@@ -120,15 +120,13 @@ class RProj(PairLabel):
 
 
 def w_simple(op: OrbifoldParams, r: int, s: int) -> WSimple:
-    _check_rs(op.p, r, s, "W label")
+    check_s(op.p, WSimple(r, s))
     return WSimple(r % op.r_modulus, s)
 
 
 def r_proj(op: OrbifoldParams, r: int, s: int):
-    _check_rs(op.p, r, s, "R label")
-    if s == op.p:
-        return WSimple(r % op.r_modulus, s)
-    return RProj(r % op.r_modulus, s)
+    check_s(op.p, RProj(r, s))
+    return (WSimple if s == op.p else RProj)(r % op.r_modulus, s)
 
 
 def v_typical(op: OrbifoldParams, q) -> VTypical:

@@ -150,7 +150,7 @@ def test_ch_vir_irr_domain(p2):
 def test_ch_vir_irr_refuses_a_non_int_label(p2, r, s):
     with pytest.raises(DomainError) as err:
         ch_vir_irr(p2, r, s, 5)
-    assert str(err.value) == f"Virasoro irreducible needs integer r and s, got r={r!r}, s={s!r}"
+    assert str(err.value) == f"label M({r!r},{s!r}) needs integer r and s"
 
 
 @pytest.mark.parametrize(

@@ -367,7 +367,7 @@ ORBIFOLD_FIRST_ERRORS = {
     "bad x[1] before bad y": (
         (WSimple(0, 1), WSimple(1, 3)),
         (RProj(1, 5),),
-        "W label needs 1 <= s <= 2, got s=3",
+        "label W(1,3) needs 1 <= s <= 2",
     ),
     "bad y[0] before bad y[1]": (
         (WSimple(0, 1),),
@@ -379,7 +379,7 @@ ORBIFOLD_FIRST_ERRORS = {
         (),
         "not an orbifold module label: MSimple(r=1, s=1)",
     ),
-    "zero x, bad y": ((), (RProj(1, 1), WSimple(0, 3)), "W label needs 1 <= s <= 2, got s=3"),
+    "zero x, bad y": ((), (RProj(1, 1), WSimple(0, 3)), "label W(0,3) needs 1 <= s <= 2"),
 }
 
 

@@ -200,7 +200,7 @@ def test_orbifold_fuse_keeps_the_lifts_of_good_labels_only():
         VTypical(Fraction(1, 2)): FockTypical(Fraction(1, 2)),
         WSimple(0, 3): MSimple(0, 3),
     }
-    for bad, error in ((WSimple(1, 4), "W label needs 1 <= s <= 3, got s=4"),
+    for bad, error in ((WSimple(1, 4), "label W(1,4) needs 1 <= s <= 3"),
                        (MSimple(1, 1), "not an orbifold module label: MSimple(r=1, s=1)")):
         for _ in range(2):
             with pytest.raises(DomainError) as err:
@@ -215,7 +215,7 @@ def test_lift_atom_normalizes_and_keeps_good_labels_only():
     assert lift_atom(op, WSimple(9, 1)) == MSimple(1, 1)
     assert lift_atom(op, RProj(1, 2)) == MSimple(1, 2)
     assert op.lifts == {WSimple(9, 1): MSimple(1, 1), RProj(1, 2): MSimple(1, 2)}
-    for bad, error in ((WSimple(1, 99), "W label needs 1 <= s <= 2, got s=99"),
+    for bad, error in ((WSimple(1, 99), "label W(1,99) needs 1 <= s <= 2"),
                        (VTypical(Fraction(1, 3)), "V coordinate must have m*q integral, got q=1/3 at m=2")):
         for _ in range(2):
             with pytest.raises(DomainError) as err:

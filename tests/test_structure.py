@@ -281,42 +281,42 @@ def test_pair_labels_refuse_a_non_int_field(species, r, s):
     # would stand in every cache for the int label, so none is made.
     with pytest.raises(DomainError) as exc:
         species(r, s)
-    assert str(exc.value) == f"label {species._TAG}({r},{s}) needs integer r and s"
+    assert str(exc.value) == f"label {species._TAG}({r!r},{s!r}) needs integer r and s"
 
 
-# Every s-range check reports "{what} needs 1 <= s <= {top}, got s={s}", and
-# refuses an r or s that is not of class int before that; a label refuses
-# one when it is made.
+# Every s-range check reports "label {label} needs 1 <= s <= {top}", and an
+# r or s that is not of class int is refused before that, by the label when
+# it is made.
 S_RANGE_CALLS = {
     "verma_quotient_factors": (
         lambda: verma_quotient_factors(Params(3), 1, 4),
-        "verma quotient needs 1 <= s <= 3, got s=4",
+        "label G(1,4) needs 1 <= s <= 3",
     ),
     "virasoro_induce": (
         lambda: virasoro_induce(Params(3), 2, 0),
-        "induction needs 1 <= s <= 3, got s=0",
+        "label M(2,0) needs 1 <= s <= 3",
     ),
-    "w_simple": (lambda: w_simple(OrbifoldParams(3, 2), 1, 4), "W label needs 1 <= s <= 3, got s=4"),
-    "r_proj": (lambda: r_proj(OrbifoldParams(3, 2), 1, 0), "R label needs 1 <= s <= 3, got s=0"),
+    "w_simple": (lambda: w_simple(OrbifoldParams(3, 2), 1, 4), "label W(1,4) needs 1 <= s <= 3"),
+    "r_proj": (lambda: r_proj(OrbifoldParams(3, 2), 1, 0), "label R(1,0) needs 1 <= s <= 3"),
     "normalize_atom non-int": (
         lambda: normalize_atom(Params(3), GenVerma(1, 2.0)),
         "label G(1,2.0) needs integer r and s",
     ),
     "verma_quotient_factors non-int": (
         lambda: verma_quotient_factors(Params(3), 1.0, 2),
-        "verma quotient needs integer r and s, got r=1.0, s=2",
+        "label G(1.0,2) needs integer r and s",
     ),
     "virasoro_induce non-int": (
         lambda: virasoro_induce(Params(3), 2, True),
-        "induction needs integer r and s, got r=2, s=True",
+        "label M(2,True) needs integer r and s",
     ),
     "w_simple non-int": (
         lambda: w_simple(OrbifoldParams(3, 2), 1.0, 1),
-        "W label needs integer r and s, got r=1.0, s=1",
+        "label W(1.0,1) needs integer r and s",
     ),
     "r_proj non-int": (
         lambda: r_proj(OrbifoldParams(3, 2), 1, "2"),
-        "R label needs integer r and s, got r=1, s='2'",
+        "label R(1,'2') needs integer r and s",
     ),
 }
 
