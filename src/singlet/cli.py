@@ -445,19 +445,17 @@ def run_command(args) -> tuple[str, int]:
 
 def main(argv=None) -> int:
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        output, code = run_command(_parse(sys.argv[1:] if argv is None else argv))
     except _Help as exc:
         print(_help(exc.command), end="")
         return 0
-    try:
-        output, code = run_command(args)
     except (_UsageError, SingletError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - invariant violations
+    except MemoryError:  # the input is too large for this machine, not a fault
+        print("error: out of memory; try a smaller --p, --m or --order", file=sys.stderr)
+        return 1
+    except Exception as exc:  # invariant violations
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 2
     if output:

@@ -9,6 +9,7 @@ import pytest
 
 from singlet import checks, fusion, modules, orbifold
 from singlet.checks import SuiteResult, run_suite, run_suites
+from singlet.cli import main
 from singlet.errors import DomainError
 from singlet.modules import FockTypical, ModuleExpr, MSimple, Proj
 from singlet.weights import Params
@@ -219,6 +220,44 @@ def test_a_fault_in_the_projective_socle_fails_the_orbifold_cover_case(
     cover = [f for f in res.failures if f.startswith("cover layers differ from ")]
     assert len(cover) == failures
     assert "cover layers differ from J x W(1,2) + J^-1 x W(1,2) at W(1,1)" in cover
+
+
+def test_a_suite_that_raises_is_one_failing_case_and_check_goes_on(monkeypatch, fresh_rows, capsys):
+    # P's middle layer loses M(r+1,p-s) at p = 3, in the socle series that
+    # k_class and the peel of projective classes read.  The peel in kring
+    # then finds no projective class and raises; the suites after it run.
+    layers = modules._layers
+
+    def wrong(p, atom):
+        out = layers(p, atom)
+        if isinstance(atom, Proj):
+            top, (below, _), socle = out
+            return top, (below,), socle
+        return out
+
+    monkeypatch.setattr(modules, "_layers", wrong)
+    monkeypatch.setattr(fusion, "_layers", wrong)
+    assert main(["--p", "3", "check", "--suite", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:8] == [
+        "associativity: 30783 cases, 7216 failures",
+        "kring: 1 cases, 1 failures",
+        "duality: 1078 cases, 152 failures",
+        "grading: 2149 cases, 0 failures",
+        "characters: 89 cases, 16 failures",
+        "oracle: 981 cases, 149 failures",
+        "orbifold(m=1): 689 cases, 20 failures",
+        "orbifold(m=2): 809 cases, 20 failures",
+    ]
+    assert "  FAIL kring: raised NotProjectiveClass: no nonnegative integer projective decomposition" in lines
+    assert lines[-1] == "FAIL"
+
+
+def test_a_bad_argument_raises_before_any_case_runs():
+    with pytest.raises(DomainError, match="m must be an integer >= 1, got 0"):
+        run_suite("orbifold", Params(2), m=0)
+    with pytest.raises(DomainError, match="truncation order must be >= 0, got -1"):
+        run_suite("characters", Params(2), order=-1)
 
 
 def test_an_unknown_suite_is_a_value_error():

@@ -12,6 +12,7 @@ import pytest
 
 from singlet.characters import ch_expr
 from singlet.checks import SUITE_NAMES
+from singlet import cli
 from singlet.cli import main
 from singlet.errors import ExprSemanticError, ExprSyntaxError
 from singlet.modules import FockTypical, ModuleExpr, MSimple, Proj
@@ -485,6 +486,9 @@ CLI_SURFACE = [
     (["--p", "3", "fuse", "--p", "2", "M(1,1)"], 1, "", "error: unrecognized arguments: --p\n"),
     (["--p", "2"], 1, "", "error: a subcommand is required\n"),
     (["--p", "1"], 1, "", "error: p must be an integer >= 2, got 1\n"),
+    # A label out of range reads the same in every family, parsed or raw.
+    (["--p", "3", "--m", "2", "loewy", "W(1,4)"], 1, "", "error: label W(1,4) needs 1 <= s <= 3: W(1,4)\n"),
+    (["--p", "3", "factors", "1", "4"], 1, "", "error: label G(1,4) needs 1 <= s <= 3\n"),
     # Accepted forms: flags in any order before the command, the last one
     # winning; --flag=value; unique prefixes; negative ints as values; "--".
     (["--p", "2", "fuse", "M(1,2)", "M(1,2)"], 0, "P(1,1)\n", ""),
@@ -534,6 +538,27 @@ CLI_SURFACE = [
 )
 def test_cli_surface(argv, code, out, err):
     assert run_cli(*argv) == (code, out, err)
+
+
+def _raising(exc):
+    def call(*args):
+        raise exc
+
+    return call
+
+
+def test_cli_out_of_memory_is_a_user_error(monkeypatch):
+    # Exit 2 is a fault of the program; an input too large for the memory of
+    # the machine is not one.
+    help_text, rows, _ = cli._COMMANDS["simples"]
+    monkeypatch.setitem(cli._COMMANDS, "simples", (help_text, rows, _raising(MemoryError())))
+    expected = (1, "", "error: out of memory; try a smaller --p, --m or --order\n")
+    assert run_cli("--p", "2", "--m", "2", "simples") == expected
+
+
+def test_cli_a_fault_while_reading_argv_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(cli, "_parse", _raising(RuntimeError("planted")))
+    assert run_cli("--p", "2", "simples") == (2, "", "internal error: RuntimeError('planted')\n")
 
 
 def test_cli_main_reads_sys_argv(monkeypatch, capsys):
