@@ -345,21 +345,19 @@ def _suite_orbifold(params: Params, m: int) -> SuiteResult:
     return res
 
 
-# Suite name -> runner(params, m, order), in the order ``all`` runs them.
+# Suite name -> body(params, m, order), in the order ``all`` runs them.
 # ``all`` runs every entry, and the benchmark's verify workload requires
 # exactly these suites and their case counts at p = 2 and 3: a new suite
 # goes in a table that ``--suite`` reads and ``all`` does not, until the
 # benchmark's ``suite_cases`` counts it.
 _SUITES = {
-    "associativity": lambda params, m, order: [_suite_associativity(params)],
-    "kring": lambda params, m, order: [_suite_kring(params)],
-    "duality": lambda params, m, order: [_suite_duality(params)],
-    "grading": lambda params, m, order: [_suite_grading(params)],
-    "characters": lambda params, m, order: [_suite_characters(params, order)],
-    "oracle": lambda params, m, order: [_suite_oracle(params)],
-    "orbifold": lambda params, m, order: [
-        _suite_orbifold(params, mm) for mm in ([m] if m is not None else [1, 2])
-    ],
+    "associativity": lambda params, m, order: _suite_associativity(params),
+    "kring": lambda params, m, order: _suite_kring(params),
+    "duality": lambda params, m, order: _suite_duality(params),
+    "grading": lambda params, m, order: _suite_grading(params),
+    "characters": lambda params, m, order: _suite_characters(params, order),
+    "oracle": lambda params, m, order: _suite_oracle(params),
+    "orbifold": lambda params, m, order: _suite_orbifold(params, m),
 }
 SUITE_NAMES = tuple(_SUITES)
 
@@ -367,17 +365,26 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(
     name: str, params: Params, m: int | None = None, order: int = _DEFAULT_ORDER
 ) -> list[SuiteResult]:
-    """The results of suite ``name``.  A bad argument raises before any case
-    runs; a ``SingletError`` raised in the suite body is one failing case."""
+    """The results of suite ``name``: one, or for ``orbifold`` one per m
+    (m = 1 and 2 when ``m`` is None).  A bad argument raises before any
+    case runs; a ``SingletError`` raised in the body of one result is that
+    result's one failing case, and the others still run."""
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}")
     check_order(order)
     if m is not None:
         orbifold.OrbifoldParams(params.p, m)  # the one rule of m
-    try:
-        return _SUITES[name](params, m, order)
-    except SingletError as exc:
-        return [SuiteResult(name, 1, [f"raised {exc.__class__.__name__}: {exc}"])]
+    if name != "orbifold":
+        runs = [(name, m)]
+    else:
+        runs = [(f"orbifold(m={mm})", mm) for mm in ([m] if m is not None else [1, 2])]
+    out = []
+    for title, mm in runs:
+        try:
+            out.append(_SUITES[name](params, mm, order))
+        except SingletError as exc:
+            out.append(SuiteResult(title, 1, [f"raised {exc.__class__.__name__}: {exc}"]))
+    return out
 
 
 def run_suites(

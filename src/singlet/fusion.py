@@ -20,14 +20,22 @@ operand a second way, and the ``kring`` suite compares the two.
 
 :func:`fuse` works on int ids.  Each p has one table of interned labels
 (``_Table``); a product row is cached once per unordered pair of ids as a
-flat tuple of ids and multiplicities.  ``_Table.product`` is the one loop
-that adds rows: it sums the rows of every pair of terms into one
-``{id: mult}`` dict, and reads the product of two single labels straight
-from their row, in one call.  :func:`fuse` maps its operands to ids,
-calls it and reads the ids back as labels.  ``product`` is symmetric in
-its operands, and the ``associativity`` suite relies on that: it calls it on
-the cached rows themselves, compares the dicts of (x y) z and x (y z) once
-per y and unordered pair {x, z}, and records the result for both orders.
+flat tuple of ids and multiplicities.  Products commute with the simple
+current J = M(2,1): J^a X x J^b Y = J^(a+b) (X x Y), since every rule
+depends on r only through r + r' - 1.  So a closed form runs once per
+J-orbit of label pairs, on the first pair of it that the table meets, and
+every later pair of that orbit pair takes this exemplar row with its ids
+moved by J^k (:func:`modules.orbit` names the orbit of a label and its
+place in it).  The exemplar rows live on the table, so clearing
+``_TABLES`` drops them; a library test checks that every rule commutes
+with J.  ``_Table.product`` is the one loop that adds rows: it sums the
+rows of every pair of terms into one ``{id: mult}`` dict, and reads the
+product of two single labels straight from their row, in one call.
+:func:`fuse` maps its operands to ids, calls it and reads the ids back as
+labels.  ``product`` is symmetric in its operands, and the
+``associativity`` suite relies on that: it calls it on the cached rows
+themselves, compares the dicts of (x y) z and x (y z) once per y and
+unordered pair {x, z}, and records the result for both orders.
 
 :func:`chebyshev_fuse` is an independent derivation path used as an oracle:
 it reduces every product to the degenerate-field recursion
@@ -69,6 +77,7 @@ from .modules import (
     k_class,
     label,
     normalize_atom,
+    orbit,
     shift,
     sort_key,
 )
@@ -238,14 +247,26 @@ class _Table:
     sighting; ``P(r,p)`` shares the id of ``M(r,p)``.  Tables are never
     shared between values of p: a label valid at one p may be invalid at
     another.
+
+    ``place`` maps the :func:`modules.orbit` ``(key, d)`` of a label met
+    by a moved row to its id, so a label J^k away from one met before is
+    found from ints, with no label made; any other is made once, by
+    :func:`modules.shift`.  ``exemplars`` maps a pair of orbit keys to the
+    first row computed for it and the sum of its operands' d: every other
+    row of that orbit pair is the exemplar moved by J^k (:meth:`moved`).
+    ``place`` grows only with the rows that are moved, and an exemplar is a
+    row the cache holds anyway, so a table of a few large rows holds little
+    more than the rows.
     """
 
-    __slots__ = ("params", "index", "atoms")
+    __slots__ = ("params", "index", "atoms", "place", "exemplars")
 
     def __init__(self, params: Params):
         self.params = params
         self.index: dict = {}
         self.atoms: list = []
+        self.place: dict = {}
+        self.exemplars: dict = {}
 
     def intern(self, atom) -> int:
         """Id of an atom known to be normalized and fusable."""
@@ -254,6 +275,21 @@ class _Table:
             i = self.index[atom] = len(self.atoms)
             self.atoms.append(atom)
         return i
+
+    def moved(self, row: tuple, k: int) -> tuple:
+        """The flat row ``row`` with each label moved by J^k."""
+        if not k:
+            return row
+        params, atoms, place = self.params, self.atoms, self.place
+        out = []
+        terms = iter(row)
+        for i, mult in zip(terms, terms):
+            key, d = orbit(params, atoms[i])
+            j = place.get((key, d + k))
+            if j is None:
+                j = place[key, d + k] = self.intern(shift(params, atoms[i], k))
+            out += (j, mult)
+        return tuple(out)
 
     def ids(self, x) -> list:
         """The terms of ``x`` (an expression or a single label) as the flat
@@ -313,16 +349,25 @@ def id_table(params: Params) -> _Table:
 def _fuse_atoms(t: _Table, i: int, j: int) -> tuple:
     """Product row of the labels with ids ``i <= j`` in table ``t``, as the
     flat tuple ``(id, mult, id, mult, ...)``; the cache keeps one row per
-    unordered pair.  On a miss the two labels are put in canonical order
-    (MSimple <= FockTypical <= Proj, then by :func:`sort_key`) and the
-    closed form of the pair is applied, and the row's labels (already
-    normalized by the rules) are interned."""
+    unordered pair.  On a miss whose pair of orbit keys has an exemplar row
+    on ``t``, that row is moved by J^k, k the difference of the two d-sums.
+    Otherwise the two labels are put in canonical order (MSimple <=
+    FockTypical <= Proj, then by :func:`sort_key`), the closed form of the
+    pair is applied, the row's labels (already normalized by the rules) are
+    interned, and the row becomes the exemplar of its orbit pair.  The
+    exemplars live on the table, so clearing ``_TABLES`` drops them."""
     a, b = t.atoms[i], t.atoms[j]
+    (ki, di), (kj, dj) = orbit(t.params, a), orbit(t.params, b)
+    known = t.exemplars.get((ki, kj))
+    if known is not None:
+        return t.moved(known[1], di + dj - known[0])
     if sort_key(b) < sort_key(a):
         a, b = b, a
     row = _CLOSED_FORMS[type(a), type(b)](t.params, a, b)
     intern = t.intern
-    return tuple(chain.from_iterable((intern(atom), mult) for atom, mult in row.items()))
+    row = tuple(chain.from_iterable((intern(atom), mult) for atom, mult in row.items()))
+    t.exemplars[ki, kj] = t.exemplars[kj, ki] = (di + dj, row)
+    return row
 
 
 def fuse(params: Params, x, y) -> ModuleExpr:

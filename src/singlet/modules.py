@@ -61,6 +61,7 @@ __all__ = [
     "check_s",
     "normalize_atom",
     "shift",
+    "orbit",
     "alpha",
     "alpha_label",
     "defining_coord",
@@ -357,6 +358,20 @@ def shift(params: Params, atom, k: int):
     if isinstance(atom, FockTypical):
         return FockTypical(atom.q + k * params.p)
     return type(atom)(atom.r + k, atom.s)
+
+
+def orbit(params: Params, atom) -> tuple:
+    """The J-orbit of a label as ``(key, d)``: the label is J^d x base, for
+    the one base of its orbit ``key`` with d = 0, so :func:`shift` by k
+    keeps the key and adds k to d.  The key of an (r, s) label is its class
+    and s, with d = r; that of F(q), q = n/den, is den and n mod den*p,
+    with d = floor(q / p)."""
+    q = getattr(atom, "q", None)
+    if q is None:
+        return (atom.__class__, atom.s), atom.r
+    den = q.denominator
+    d, n = divmod(q.numerator, den * params.p)
+    return (den, n), d
 
 
 def alpha(p: int, r: int, s: int) -> int:

@@ -255,6 +255,13 @@ def k_product_by_pairs(params, a, b):
     return ModuleExpr.combine(pieces)
 
 
+def closed_form(params, x, y):
+    """The closed form of ``fusion._CLOSED_FORMS`` at two normalized fusable
+    labels, applied to them in canonical order, with no id table."""
+    lo, hi = (y, x) if sort_key(y) < sort_key(x) else (x, y)
+    return _CLOSED_FORMS[type(lo), type(hi)](params, lo, hi)
+
+
 # The species pairs whose closed form ``fuse_by_term_pairs`` takes from
 # ``fusion._CLOSED_FORMS``; P x M, F x P and P x P are not among them.
 _ORACLE_CLOSED_FORMS = (

@@ -95,24 +95,26 @@ def test_one_wrong_product_is_one_failure(monkeypatch):
 
 
 def _wrong_m12_m12(monkeypatch):
-    # M(1,2) x M(1,2) = M(1,1) + M(1,3) at p = 3; drop M(1,3).
+    # M(r,2) x M(r2,2) = M(R,1) + M(R,3) at p = 3, R = r + r2 - 1; drop M(R,3).
+    # The fault tests s only, so it commutes with J as the rule does: a row
+    # moved along J from a wrong row is the wrong row of its own pair.
     rule = fusion._CLOSED_FORMS[MSimple, MSimple]
 
     def wrong(params, a, b):
-        if (a, b) == (MSimple(1, 2), MSimple(1, 2)):
-            return ModuleExpr.of(MSimple(1, 1))
+        if a.s == b.s == 2:
+            return ModuleExpr.of(MSimple(a.r + b.r - 1, 1))
         return rule(params, a, b)
 
     monkeypatch.setitem(fusion._CLOSED_FORMS, (MSimple, MSimple), wrong)
 
 
 def _wrong_p02_f13(monkeypatch):
-    # P(0,2) x F(1/3) at p = 3 loses its largest label.
+    # F(q) x P(r,2) at p = 3 loses its largest label when q = 1/3 mod p.
     rule = fusion._CLOSED_FORMS[FockTypical, Proj]
 
     def wrong(params, a, b):
         out = rule(params, a, b)
-        if (a, b) == (FockTypical(Fraction(1, 3)), Proj(0, 2)):
+        if (a.q % params.p, b.s) == (Fraction(1, 3), 2):
             return ModuleExpr.of(*out.atoms()[:-1])
         return out
 
@@ -126,9 +128,10 @@ def test_one_wrong_row_fails_associativity_at_that_pair(monkeypatch, fresh_rows)
     [res] = run_suite("associativity", Params(3))
     assert res.cases == 30783
     assert all(f.startswith("associativity failed at ") for f in res.failures)
-    # x x (M(1,2) x M(1,2)) reads the wrong row, (x x M(1,2)) x M(1,2) does not.
-    assert "associativity failed at M(-2,1), M(1,2), M(1,2)" in res.failures
-    assert "associativity failed at M(1,2), M(1,2), M(-2,1)" in res.failures
+    # x x (M(1,2) x M(1,2)) reads the wrong row, (x x M(1,2)) x M(1,2) does
+    # not when x = M(1,3): M(1,3) x M(1,2) = P(1,2) is right.
+    assert "associativity failed at M(1,3), M(1,2), M(1,2)" in res.failures
+    assert "associativity failed at M(1,2), M(1,2), M(1,3)" in res.failures
     monkeypatch.setitem(fusion._CLOSED_FORMS, (MSimple, MSimple), rule)
     fusion._fuse_atoms.cache_clear()
     fusion._TABLES.clear()
@@ -136,18 +139,20 @@ def test_one_wrong_row_fails_associativity_at_that_pair(monkeypatch, fresh_rows)
 
 
 # Planted fault -> number of associativity failures at p = 3 and the sha256
-# of their texts joined by newlines, recorded from the triple loop that
-# compared every ordered triple on its own.
+# of their texts joined by newlines.  Recorded from the triple loop that
+# compared every ordered triple on its own, and again when the faults came
+# to hold on whole J-orbits of pairs (they held at one pair before); each
+# fault is named by one pair of its orbit.
 PLANTED_ROW_FAULTS = {
     "M(1,2) x M(1,2)": (
         _wrong_m12_m12,
-        74,
-        "31f66a02c7a0fbdd23e747e3187845b79641ef9aea7d18a43cb10321e184a815",
+        1368,
+        "132ff950ee623e347a503cacfbb5c82f25bffaf990da447041ef002b56130fea",
     ),
     "P(0,2) x F(1/3)": (
         _wrong_p02_f13,
-        248,
-        "d545c2f5cde0391095ac774ba5787bae6ceb5d55fd84d41df5f2e2538e60248b",
+        824,
+        "de5dbac82be01edfeaa26de976002dab48d68b2cc1a2ca2467757705aafc76b2",
     ),
 }
 
@@ -226,6 +231,8 @@ def test_a_suite_that_raises_is_one_failing_case_and_check_goes_on(monkeypatch, 
     # P's middle layer loses M(r+1,p-s) at p = 3, in the socle series that
     # k_class and the peel of projective classes read.  The peel in kring
     # then finds no projective class and raises; the suites after it run.
+    # The fault also makes P x P depend on the order of its operands, so a
+    # row moved along J can differ from the one its own pair would give.
     layers = modules._layers
 
     def wrong(p, atom):
@@ -240,17 +247,34 @@ def test_a_suite_that_raises_is_one_failing_case_and_check_goes_on(monkeypatch, 
     assert main(["--p", "3", "check", "--suite", "all"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[:8] == [
-        "associativity: 30783 cases, 7216 failures",
+        "associativity: 30783 cases, 6852 failures",
         "kring: 1 cases, 1 failures",
         "duality: 1078 cases, 152 failures",
-        "grading: 2149 cases, 0 failures",
+        "grading: 2161 cases, 0 failures",
         "characters: 89 cases, 16 failures",
         "oracle: 981 cases, 149 failures",
-        "orbifold(m=1): 689 cases, 20 failures",
-        "orbifold(m=2): 809 cases, 20 failures",
+        "orbifold(m=1): 689 cases, 4 failures",
+        "orbifold(m=2): 809 cases, 8 failures",
     ]
     assert "  FAIL kring: raised NotProjectiveClass: no nonnegative integer projective decomposition" in lines
     assert lines[-1] == "FAIL"
+
+
+def test_each_orbifold_m_is_guarded_on_its_own(monkeypatch):
+    # Without m the orbifold suite runs m = 1 and 2; an error at m = 2 is
+    # that result's one failing case and leaves the m = 1 result whole.
+    simples = orbifold.list_simples
+
+    def raising(op):
+        if op.m == 2:
+            raise DomainError("planted at m=2")
+        return simples(op)
+
+    monkeypatch.setattr(orbifold, "list_simples", raising)
+    assert run_suite("orbifold", Params(2)) == [
+        SuiteResult("orbifold(m=1)", 265),
+        SuiteResult("orbifold(m=2)", 1, ["raised DomainError: planted at m=2"]),
+    ]
 
 
 def test_a_bad_argument_raises_before_any_case_runs():

@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from itertools import product
@@ -5,7 +6,7 @@ from itertools import product
 import pytest
 
 from singlet import fusion
-from singlet.checks import universe
+from singlet.checks import run_suite, universe
 from singlet.errors import (
     DomainError,
     NotProjectiveClass,
@@ -27,12 +28,14 @@ from singlet.modules import (
     MSimple,
     Proj,
     k_class,
+    orbit,
     shift,
+    sort_key,
 )
 from singlet.orbifold import OrbifoldParams, RProj, VTypical, WSimple, orbifold_fuse
 from singlet.weights import Params
 
-from helpers import outcome
+from helpers import closed_form, outcome
 
 
 def F(q):
@@ -629,3 +632,166 @@ def test_ladder_codes_round_trip(p):
     pairs += [(Proj, b) for b in range(1, p)]
     assert [fusion._code(p, cls, b) for cls, b in pairs] == list(range(2 * p))
     assert [fusion._decode(p, code) for code in range(2 * p)] == pairs
+
+
+def shifted(params, x, k):
+    """J^k x for an expression x, through ``modules.shift``."""
+    return x.expand(lambda atom: (shift(params, atom, k),))
+
+
+def seeded_labels(params, seed, n=40):
+    """n fusable labels with r up to 10^3 in size and typical coordinates
+    of denominator 2..12 up to 10^3 in size."""
+    rng = random.Random(seed)
+    p = params.p
+    out = []
+    for k in range(n):
+        r = rng.randint(-1000, 1000)
+        if k % 3 == 0:
+            out.append(MSimple(r, rng.randint(1, p)))
+        elif k % 3 == 1:
+            out.append(Proj(r, rng.randint(1, p - 1)))
+        else:
+            den = rng.randint(2, 12)
+            out.append(F(Fraction(den * rng.randint(-1000, 999) + rng.randint(1, den - 1), den)))
+    return out
+
+
+SHIFTS = list(product(range(-3, 4), repeat=2))
+
+
+def j_failures(params, rules, labels, seed):
+    """The pairs at which a closed form does not commute with J: for each
+    unordered pair {x, y} of ``labels`` in canonical order and three seeded
+    shifts (a, b) in -3..3, the (x, y, u, v) with rule(u, v) != J^(a+b)
+    rule(x, y), where u, v are J^a x and J^b y in canonical order.  Also
+    returns the species pairs met."""
+    rng = random.Random(seed)
+    labels = sorted(labels, key=sort_key)
+    failures, met = [], set()
+    for i, x in enumerate(labels):
+        for y in labels[i:]:
+            met.add((type(x), type(y)))
+            want = rules[type(x), type(y)](params, x, y)
+            for a, b in rng.sample(SHIFTS, 3):
+                u, v = shift(params, x, a), shift(params, y, b)
+                if sort_key(v) < sort_key(u):
+                    u, v = v, u
+                if rules[type(u), type(v)](params, u, v) != shifted(params, want, a + b):
+                    failures.append((x, y, u, v))
+    return failures, met
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_every_closed_form_commutes_with_j(p):
+    # fuse computes one row per J-orbit of label pairs and moves it along J
+    # to the others, which is exact only if every rule commutes with J.
+    params = Params(p)
+    labels = universe(params) + seeded_labels(params, 100 + p)
+    failures, met = j_failures(params, fusion._CLOSED_FORMS, labels, p)
+    assert failures == []
+    assert met == set(fusion._CLOSED_FORMS)
+
+
+def _wrong_at_m12_m12(params, a, b):
+    # M(1,2) x M(1,2) = M(1,1) + M(1,3) at p = 3; drop M(1,3) at that pair only.
+    if (a, b) == (MSimple(1, 2), MSimple(1, 2)):
+        return ModuleExpr.of(MSimple(1, 1))
+    return fusion._simple_simple(params, a, b)
+
+
+def _wrong_at_p02_f13(params, a, b):
+    # P(0,2) x F(1/3) at p = 3 loses its largest label, at that pair only.
+    out = fusion._exact_proj(params, a, b)
+    if (a, b) == (F("1/3"), Proj(0, 2)):
+        return ModuleExpr.of(*out.atoms()[:-1])
+    return out
+
+
+@pytest.mark.parametrize(
+    "species, wrong, pair",
+    [
+        ((MSimple, MSimple), _wrong_at_m12_m12, (MSimple(1, 2), MSimple(1, 2))),
+        ((FockTypical, Proj), _wrong_at_p02_f13, (F("1/3"), Proj(0, 2))),
+    ],
+)
+def test_a_fault_at_one_pair_does_not_commute_with_j(species, wrong, pair):
+    # The faults planted at one pair while every row was computed at its
+    # own pair: a moved row would hide them, and the test above sees them.
+    params = Params(3)
+    rules = {**fusion._CLOSED_FORMS, species: wrong}
+    failures, _ = j_failures(params, rules, universe(params), 3)
+    assert failures
+    assert all(pair in ((x, y), (u, v)) for x, y, u, v in failures)
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_moved_rows_are_the_rows_of_their_own_pairs(fresh_rows, p):
+    # Every pair, met in universe order and then on a fresh table in the
+    # reverse order, so that other pairs are the first of their orbit pair.
+    params = Params(p)
+    atoms = universe(params)
+    pairs = [(x, y) for x in atoms for y in atoms]
+    seeded = seeded_labels(params, 200 + p, 24)
+    pairs += [(x, y) for x in seeded for y in seeded + atoms[::7]]
+    for order in (pairs, pairs[::-1]):
+        fusion._TABLES.clear()
+        _fuse_atoms.cache_clear()
+        for x, y in order:
+            assert fuse(params, x, y) == closed_form(params, x, y), (x, y)
+
+
+def _counted_rules(monkeypatch) -> list:
+    """Wrap every closed form to record its operands; returns the record."""
+    calls = []
+    for species, rule in list(fusion._CLOSED_FORMS.items()):
+
+        def counted(params, a, b, rule=rule):
+            calls.append((a, b))
+            return rule(params, a, b)
+
+        monkeypatch.setitem(fusion._CLOSED_FORMS, species, counted)
+    return calls
+
+
+def test_associativity_runs_each_closed_form_once_per_orbit_pair(monkeypatch, fresh_rows):
+    # 254 closed-form calls, nested F x P and P x P rules included; the
+    # suite made 6,734 when every row missed by the cache ran its rule.
+    calls = _counted_rules(monkeypatch)
+    run_suite("associativity", Params(3))
+    assert len(calls) == 254
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ((MSimple(1, 2), Proj(0, 1)), (MSimple(7, 2), Proj(-40, 1))),
+        ((Proj(2, 1), Proj(0, 2)), (Proj(0, 2), Proj(-998, 1))),
+        ((F("1/3"), Proj(0, 2)), (F(Fraction(1, 3) + 3 * 250), Proj(-3, 2))),
+        ((F("-7/12"), F("1/3")), (F(Fraction(1, 3) - 3 * 9), F(Fraction(-7, 12) + 3 * 4))),
+    ],
+)
+def test_a_second_pair_of_an_orbit_pair_runs_no_closed_form(monkeypatch, fresh_rows, first, second):
+    params = Params(3)
+    calls = _counted_rules(monkeypatch)
+    fuse(params, *first)
+    assert calls
+    calls.clear()
+    got = fuse(params, *second)
+    assert calls == []
+    assert got == closed_form(params, *second)
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_orbit_keys_round_trip_through_shift(p):
+    params = Params(p)
+    seen = {}
+    for x in universe(params) + seeded_labels(params, 300 + p):
+        key, d = orbit(params, x)
+        base = shift(params, x, -d)
+        assert orbit(params, base) == (key, 0)
+        assert shift(params, base, d) == x
+        for k in range(-3, 4):
+            assert orbit(params, shift(params, x, k)) == (key, d + k)
+        # (key, d) names one label.
+        assert seen.setdefault((key, d), x) == x
