@@ -10,8 +10,7 @@ One exactness rule serves F x P and P x P: for a projective a (a typical
 F(q) or a P), a x - is exact and lands in projectives, where every short
 exact sequence splits, so a x P is the sum of a x f over the composition
 factors f of P, each by the rule of M x a.  The typical rules (M x F,
-and F x F off the integral coset) write each coordinate from the ints of
-q, and read alpha_{r,s} and its inverse from :mod:`modules`.
+and F x F) read alpha_{r,s} and its inverse from :mod:`modules`.
 Tensoring is exact, so the Grothendieck-ring product (:func:`k_product`)
 is the class of the fusion product of the classes.
 Inverting the injective projective-to-K-class map by a top-down peel
@@ -24,11 +23,13 @@ flat tuple of ids and multiplicities.  Products commute with the simple
 current J = M(2,1): J^a X x J^b Y = J^(a+b) (X x Y), since every rule
 depends on r only through r + r' - 1.  So a closed form runs once per
 J-orbit of label pairs, on the first pair of it that the table meets, and
-every later pair of that orbit pair takes this exemplar row with its ids
-moved by J^k (:func:`modules.orbit` names the orbit of a label and its
-place in it).  The exemplar rows live on the table, so clearing
-``_TABLES`` drops them; a library test checks that every rule commutes
-with J.  ``_Table.product`` is the one loop that adds rows: it sums the
+every later pair of that orbit pair reads the row of that first pair
+through the cache and moves its ids by J^k (:func:`modules.orbit` names
+the orbit of a label and its place in it).  Every row lives in the cache
+of ``_fuse_atoms`` alone: a table's ``exemplars`` names the first pair of
+each orbit pair, not its row, so ``_fuse_atoms.cache_clear()`` resets
+every product; a library test checks that every rule commutes with J.
+``_Table.product`` is the one loop that adds rows: it sums the
 rows of every pair of terms into one ``{id: mult}`` dict, and reads the
 product of two single labels straight from their row, in one call.
 :func:`fuse` maps its operands to ids, calls it and reads the ids back as
@@ -53,7 +54,6 @@ The oracle never reads the id tables or cached rows of :func:`fuse`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
@@ -109,19 +109,11 @@ def _simple_simple(params: Params, a, b) -> ModuleExpr:
     )
 
 
-def _fock_run(q: Fraction, first: int, count: int) -> ModuleExpr:
-    """F(q + first + 2l) for 0 <= l < count.  Each coordinate is built from
-    the ints n/d of q as (n + kd)/d, with no Fraction sum: it is already in
-    lowest terms, since gcd(n + kd, d) = gcd(n, d) = 1."""
-    n, d = q.numerator, q.denominator
-    n += first * d
-    return ModuleExpr.of(*(FockTypical(Fraction(k, d)) for k in range(n, n + 2 * d * count, 2 * d)))
-
-
 def _simple_typical(params: Params, a, b) -> ModuleExpr:
-    """M(r,s) x F(q): s typical Fock modules stepping by the short root
-    from q + alpha_{r,s}."""
-    return _fock_run(b.q, alpha(params.p, a.r, a.s), a.s)
+    """M(r,s) x F(q): the s typical Fock modules F(q + alpha_{r,s} + 2l),
+    0 <= l < s, stepping by the short root."""
+    q = b.q + alpha(params.p, a.r, a.s)
+    return ModuleExpr.of(*(FockTypical(q + 2 * l) for l in range(a.s)))
 
 
 def _simple_proj(params: Params, a, b) -> ModuleExpr:
@@ -143,7 +135,7 @@ def _typical_typical(params: Params, a, b) -> ModuleExpr:
     p = params.p
     total = a.q + b.q
     if total.denominator != 1:
-        return _fock_run(total, 0, p)
+        return ModuleExpr.of(*(FockTypical(total + 2 * l) for l in range(p)))
     r, s = alpha_label(p, int(total) - (2 - 2 * p))
     return ModuleExpr.of(
         *(normalize_atom(params, Proj(r, s2)) for s2 in range(s, p + 1, 2)),
@@ -252,11 +244,10 @@ class _Table:
     by a moved row to its id, so a label J^k away from one met before is
     found from ints, with no label made; any other is made once, by
     :func:`modules.shift`.  ``exemplars`` maps a pair of orbit keys to the
-    first row computed for it and the sum of its operands' d: every other
-    row of that orbit pair is the exemplar moved by J^k (:meth:`moved`).
-    ``place`` grows only with the rows that are moved, and an exemplar is a
-    row the cache holds anyway, so a table of a few large rows holds little
-    more than the rows.
+    sum of the operands' d and the ids of the first pair met of that orbit
+    pair: every other row of it is that pair's cached row moved by J^k
+    (:meth:`moved`).  A table holds no row, only what the rules do not
+    change: the labels, ``place``, and which pair came first.
     """
 
     __slots__ = ("params", "index", "atoms", "place", "exemplars")
@@ -349,25 +340,29 @@ def id_table(params: Params) -> _Table:
 def _fuse_atoms(t: _Table, i: int, j: int) -> tuple:
     """Product row of the labels with ids ``i <= j`` in table ``t``, as the
     flat tuple ``(id, mult, id, mult, ...)``; the cache keeps one row per
-    unordered pair.  On a miss whose pair of orbit keys has an exemplar row
-    on ``t``, that row is moved by J^k, k the difference of the two d-sums.
-    Otherwise the two labels are put in canonical order (MSimple <=
-    FockTypical <= Proj, then by :func:`sort_key`), the closed form of the
-    pair is applied, the row's labels (already normalized by the rules) are
-    interned, and the row becomes the exemplar of its orbit pair.  The
-    exemplars live on the table, so clearing ``_TABLES`` drops them."""
+    unordered pair, and it is the only store of rows.  On a miss at a pair
+    whose orbit pair has an exemplar on ``t`` other than itself, the row of
+    the exemplar pair is read through the cache and moved by J^k, k the
+    difference of the two d-sums.  Otherwise the two labels are put in
+    canonical order (MSimple <= FockTypical <= Proj, then by
+    :func:`sort_key`), the closed form of the pair is applied, the row's
+    labels (already normalized by the rules) are interned, and the pair
+    becomes the exemplar of its orbit pair.  So ``cache_clear()`` resets
+    every row: a moved row is made again from its exemplar's, and that
+    from the rules in force.  ``_TABLES.clear()`` only forgets interned
+    labels; the old rows stay in the cache, unreachable, until
+    ``cache_clear()``."""
     a, b = t.atoms[i], t.atoms[j]
     (ki, di), (kj, dj) = orbit(t.params, a), orbit(t.params, b)
-    known = t.exemplars.get((ki, kj))
-    if known is not None:
-        return t.moved(known[1], di + dj - known[0])
+    d0, i0, j0 = t.exemplars.get((ki, kj), (0, i, j))
+    if (i0, j0) != (i, j):
+        return t.moved(_fuse_atoms(t, i0, j0), di + dj - d0)
     if sort_key(b) < sort_key(a):
         a, b = b, a
     row = _CLOSED_FORMS[type(a), type(b)](t.params, a, b)
     intern = t.intern
-    row = tuple(chain.from_iterable((intern(atom), mult) for atom, mult in row.items()))
-    t.exemplars[ki, kj] = t.exemplars[kj, ki] = (di + dj, row)
-    return row
+    t.exemplars[ki, kj] = t.exemplars[kj, ki] = (di + dj, i, j)
+    return tuple(chain.from_iterable((intern(atom), mult) for atom, mult in row.items()))
 
 
 def fuse(params: Params, x, y) -> ModuleExpr:

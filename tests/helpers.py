@@ -256,14 +256,14 @@ def k_product_by_pairs(params, a, b):
 
 
 def closed_form(params, x, y):
-    """The closed form of ``fusion._CLOSED_FORMS`` at two normalized fusable
+    """The closed form of ``_CLOSED_FORMS`` at two normalized fusable
     labels, applied to them in canonical order, with no id table."""
     lo, hi = (y, x) if sort_key(y) < sort_key(x) else (x, y)
     return _CLOSED_FORMS[type(lo), type(hi)](params, lo, hi)
 
 
 # The species pairs whose closed form ``fuse_by_term_pairs`` takes from
-# ``fusion._CLOSED_FORMS``; P x M, F x P and P x P are not among them.
+# ``_CLOSED_FORMS``; P x M, F x P and P x P are not among them.
 _ORACLE_CLOSED_FORMS = (
     (MSimple, MSimple),
     (MSimple, FockTypical),
@@ -305,3 +305,32 @@ def orbifold_fuse_by_term_pairs(op, x, y):
         for b, mb in ys:
             pieces.append((ma * mb, induce(op, fuse(op.singlet, a, b))))
     return ModuleExpr.combine(pieces)
+
+
+def wrong_m12_m12(monkeypatch):
+    """Plant a rule fault: M(r,2) x M(r2,2) = M(R,1) + M(R,3) at p = 3,
+    R = r + r2 - 1, drops M(R,3).  The fault tests s only, so it commutes
+    with J as the rule does: a row moved along J from a wrong row is the
+    wrong row of its own pair."""
+    rule = _CLOSED_FORMS[MSimple, MSimple]
+
+    def wrong(params, a, b):
+        if a.s == b.s == 2:
+            return ModuleExpr.of(MSimple(a.r + b.r - 1, 1))
+        return rule(params, a, b)
+
+    monkeypatch.setitem(_CLOSED_FORMS, (MSimple, MSimple), wrong)
+
+
+def wrong_p02_f13(monkeypatch):
+    """Plant a rule fault: F(q) x P(r,2) at p = 3 loses its largest label
+    when q = 1/3 mod p."""
+    rule = _CLOSED_FORMS[FockTypical, Proj]
+
+    def wrong(params, a, b):
+        out = rule(params, a, b)
+        if (a.q % params.p, b.s) == (Fraction(1, 3), 2):
+            return ModuleExpr.of(*out.atoms()[:-1])
+        return out
+
+    monkeypatch.setitem(_CLOSED_FORMS, (FockTypical, Proj), wrong)

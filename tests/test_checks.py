@@ -3,7 +3,6 @@ built only when the case fails, and reads exactly as the eager f-strings
 wrote it."""
 
 import hashlib
-from fractions import Fraction
 
 import pytest
 
@@ -11,8 +10,10 @@ from singlet import checks, fusion, modules, orbifold
 from singlet.checks import SuiteResult, run_suite, run_suites
 from singlet.cli import main
 from singlet.errors import DomainError
-from singlet.modules import FockTypical, ModuleExpr, MSimple, Proj
+from singlet.modules import ModuleExpr, MSimple, Proj
 from singlet.weights import Params
+
+from helpers import wrong_m12_m12, wrong_p02_f13
 
 # Suite at p = 2 (orbifold m = 3, character order 6) -> case count, first and
 # last failure text, and the sha256 of all failure texts joined by newlines,
@@ -94,37 +95,10 @@ def test_one_wrong_product_is_one_failure(monkeypatch):
     assert res.failures == ["oracle disagreement at M(1,2), P(0,1)"]
 
 
-def _wrong_m12_m12(monkeypatch):
-    # M(r,2) x M(r2,2) = M(R,1) + M(R,3) at p = 3, R = r + r2 - 1; drop M(R,3).
-    # The fault tests s only, so it commutes with J as the rule does: a row
-    # moved along J from a wrong row is the wrong row of its own pair.
-    rule = fusion._CLOSED_FORMS[MSimple, MSimple]
-
-    def wrong(params, a, b):
-        if a.s == b.s == 2:
-            return ModuleExpr.of(MSimple(a.r + b.r - 1, 1))
-        return rule(params, a, b)
-
-    monkeypatch.setitem(fusion._CLOSED_FORMS, (MSimple, MSimple), wrong)
-
-
-def _wrong_p02_f13(monkeypatch):
-    # F(q) x P(r,2) at p = 3 loses its largest label when q = 1/3 mod p.
-    rule = fusion._CLOSED_FORMS[FockTypical, Proj]
-
-    def wrong(params, a, b):
-        out = rule(params, a, b)
-        if (a.q % params.p, b.s) == (Fraction(1, 3), 2):
-            return ModuleExpr.of(*out.atoms()[:-1])
-        return out
-
-    monkeypatch.setitem(fusion._CLOSED_FORMS, (FockTypical, Proj), wrong)
-
-
 def test_one_wrong_row_fails_associativity_at_that_pair(monkeypatch, fresh_rows):
     # The triple loop reads the cached rows without going through ``fuse``.
     rule = fusion._CLOSED_FORMS[MSimple, MSimple]
-    _wrong_m12_m12(monkeypatch)
+    wrong_m12_m12(monkeypatch)
     [res] = run_suite("associativity", Params(3))
     assert res.cases == 30783
     assert all(f.startswith("associativity failed at ") for f in res.failures)
@@ -145,12 +119,12 @@ def test_one_wrong_row_fails_associativity_at_that_pair(monkeypatch, fresh_rows)
 # fault is named by one pair of its orbit.
 PLANTED_ROW_FAULTS = {
     "M(1,2) x M(1,2)": (
-        _wrong_m12_m12,
+        wrong_m12_m12,
         1368,
         "132ff950ee623e347a503cacfbb5c82f25bffaf990da447041ef002b56130fea",
     ),
     "P(0,2) x F(1/3)": (
-        _wrong_p02_f13,
+        wrong_p02_f13,
         824,
         "de5dbac82be01edfeaa26de976002dab48d68b2cc1a2ca2467757705aafc76b2",
     ),

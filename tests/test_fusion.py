@@ -35,7 +35,7 @@ from singlet.modules import (
 from singlet.orbifold import OrbifoldParams, RProj, VTypical, WSimple, orbifold_fuse
 from singlet.weights import Params
 
-from helpers import closed_form, outcome
+from helpers import closed_form, outcome, wrong_m12_m12
 
 
 def F(q):
@@ -607,8 +607,8 @@ NUMERATORS = [n for k in (1, 5, 7, 11, 999_999, 10**6, 10**6 - 11) for n in (k, 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_typical_rules_on_ints_match_fraction_arithmetic(p):
-    # The rules build each coordinate as (n + kd)/d from the ints of q; the
-    # reference here is Fraction arithmetic, term by term and in order.
+    # The typical rules at large numerators of every sign; the reference
+    # here is Fraction arithmetic, term by term and in order.
     params = Params(p)
     qs = [Fraction(n, d) for d in range(2, 13) for n in NUMERATORS if n % d]
     simples = [MSimple(r, s) for r in (-3, 1, 4) for s in range(1, p + 1)]
@@ -780,6 +780,28 @@ def test_a_second_pair_of_an_orbit_pair_runs_no_closed_form(monkeypatch, fresh_r
     got = fuse(params, *second)
     assert calls == []
     assert got == closed_form(params, *second)
+
+
+def test_one_cache_clear_resets_first_and_moved_rows(monkeypatch, fresh_rows):
+    # M(1,2) x M(1,2) is the first pair of its orbit pair, and the row of
+    # M(5,2) x M(1,2) is moved from it.  The tables hold no row, so a rule
+    # planted or restored takes effect on both after one cache_clear().
+    params = Params(3)
+    first, moved = (MSimple(1, 2), MSimple(1, 2)), (MSimple(5, 2), MSimple(1, 2))
+    clean = [fuse(params, *first), fuse(params, *moved)]
+    assert clean == [
+        ModuleExpr.of(MSimple(1, 1), MSimple(1, 3)),
+        ModuleExpr.of(MSimple(5, 1), MSimple(5, 3)),
+    ]
+    rule = fusion._CLOSED_FORMS[MSimple, MSimple]
+    wrong_m12_m12(monkeypatch)
+    _fuse_atoms.cache_clear()
+    # The moved pair first: its read of the first pair's row misses too.
+    assert fuse(params, *moved) == ModuleExpr.of(MSimple(5, 1))
+    assert fuse(params, *first) == ModuleExpr.of(MSimple(1, 1))
+    monkeypatch.setitem(fusion._CLOSED_FORMS, (MSimple, MSimple), rule)
+    _fuse_atoms.cache_clear()
+    assert [fuse(params, *first), fuse(params, *moved)] == clean
 
 
 @pytest.mark.parametrize("p", range(2, 8))
