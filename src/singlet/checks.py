@@ -131,7 +131,7 @@ def _suite_kring(params: Params) -> SuiteResult:
     for x in atoms:
         for y in atoms:
             product = fusion.fuse(params, x, y)
-            rhs = fusion.k_product(params, modules.k_class(params, x), modules.k_class(params, y))
+            rhs = fusion.k_product(params, x, y)
             ok = modules.k_class(params, product) == rhs
             if Proj in (type(x), type(y)):  # the product is projective: the peel gives it back
                 ok = ok and fusion.projective_decompose(params, rhs) == product

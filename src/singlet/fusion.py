@@ -49,7 +49,11 @@ for one of 2p codes.  A base row (``_m12_row``) depends only on the code,
 so each of its terms moves a key by a fixed int: at most 2p rows per
 call, made on first use and dropped with the call.  Labels are made only
 for the answer, from the start label moved by :func:`modules.shift`.
-The oracle never reads the id tables or cached rows of :func:`fuse`.
+Each pair is put in canonical order first: an M operand runs the
+T-ladder on the other, a P operand the U-ladder on the other, and F x F,
+which has no recursion, reads ``_CLOSED_FORMS`` as :func:`fuse` does, so
+one ``setitem`` there plants a rule fault in both derivations.  The
+oracle never reads the id tables or cached rows of :func:`fuse`.
 """
 
 from __future__ import annotations
@@ -152,10 +156,10 @@ def _exact_proj(params: Params, a, b) -> ModuleExpr:
 
 
 # The rule of each canonical species pair (MSimple <= FockTypical <= Proj),
-# on two labels in that order; read by ``_fuse_atoms``.  Every label a rule
-# meets has passed ``_fusable``, so the rules check nothing.  The exactness
-# rule ``_exact_proj`` serves both pairs with a projective second operand and
-# a non-simple first one, F x P and P x P.
+# on two labels in that order; read by ``_fuse_atoms``, and for F x F by
+# the oracle.  Every label a rule meets has passed ``_fusable``, so the
+# rules check nothing.  ``_exact_proj`` serves both pairs with a projective
+# second operand and a non-simple first one, F x P and P x P.
 _CLOSED_FORMS = {
     (MSimple, MSimple): _simple_simple,
     (MSimple, FockTypical): _simple_typical,
@@ -511,20 +515,16 @@ class _Ladder:
         return cur
 
     def pair(self, a, b) -> ModuleExpr:
-        """a x b for two normalized fusable labels."""
-        if isinstance(b, MSimple):
-            start, rung, k = a, self.t_ladder(a, b.s), b.r - 1
-        elif isinstance(a, MSimple):
+        """a x b for two normalized fusable labels, put in canonical order
+        (M <= F <= P, then by :func:`sort_key`) first, as in :func:`_fuse_atoms`."""
+        if sort_key(b) < sort_key(a):
+            a, b = b, a
+        if isinstance(a, MSimple):
             start, rung, k = b, self.t_ladder(b, a.s), a.r - 1
         elif isinstance(b, Proj):
             start, rung, k = a, self.u_ladder(a, b.s), b.r - 1
-        elif isinstance(a, Proj):
-            start, rung, k = b, self.u_ladder(b, a.s), a.r - 1
         else:
-            # Purely typical pairs admit no degenerate-field recursion; fall
-            # back to the direct rule (independently cross-checked by the
-            # triple-product and pairing identities in the check suites).
-            return _typical_typical(self.params, a, b)
+            return _CLOSED_FORMS[FockTypical, FockTypical](self.params, a, b)
         # The ladders ran at r = 1; J^k moves the start, and so the result,
         # to the operand's r.
         start = shift(self.params, start, k)

@@ -37,6 +37,7 @@ __all__ = ["parse_expr", "is_orbifold_expr"]
 
 _SPECIES = {cls._TAG: cls for cls in (MSimple, FockTypical, Proj, FockAtypical, GenVerma, *_LIFTS)}
 _DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _SPACE = frozenset(" \t\n\r\x0b\x0c")
 
 
@@ -98,7 +99,7 @@ class _Scanner:
     def name(self) -> str:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
+        while self.pos < len(self.text) and self.text[self.pos] in _LETTERS:
             self.pos += 1
         if self.pos == start:
             self.error("expected a species name")

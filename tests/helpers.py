@@ -11,11 +11,13 @@ from singlet.modules import (
     ModuleExpr,
     MSimple,
     Proj,
+    alpha_label,
     as_expr,
     k_class,
     label,
     lowest_weight,
     normalize_atom,
+    shift,
     sort_key,
 )
 from singlet.orbifold import VTypical, WSimple, induce, lift_atom
@@ -334,3 +336,47 @@ def wrong_p02_f13(monkeypatch):
         return out
 
     monkeypatch.setitem(_CLOSED_FORMS, (FockTypical, Proj), wrong)
+
+
+def _coset(params, a, b):
+    """The coset parameters (r, s) that F(q) x F(q2) reads when q + q2 is
+    an int, else None."""
+    total = a.q + b.q
+    if total.denominator != 1:
+        return None
+    return alpha_label(params.p, int(total) - (2 - 2 * params.p))
+
+
+def wrong_ff_drop_s2(monkeypatch):
+    """Plant a rule fault: F(q) x F(q2) on the integral coset loses its
+    largest label when the coset parameter s is 2.  The fault tests the
+    coset and s only, so it commutes with J, and it reaches ``fuse`` and the
+    oracle alike through ``_CLOSED_FORMS``."""
+    rule = _CLOSED_FORMS[FockTypical, FockTypical]
+
+    def wrong(params, a, b):
+        out = rule(params, a, b)
+        coset = _coset(params, a, b)
+        if coset is not None and coset[1] == 2:
+            return ModuleExpr.of(*out.atoms()[:-1])
+        return out
+
+    monkeypatch.setitem(_CLOSED_FORMS, (FockTypical, FockTypical), wrong)
+
+
+def wrong_ff_flank(monkeypatch):
+    """Plant a rule fault: F(q) x F(q2) on the integral coset, with coset
+    parameters (r, s), puts its second group of projectives at P(r+1,.)
+    instead of P(r-1,.).  The fault tests the coset only, so it commutes
+    with J."""
+    rule = _CLOSED_FORMS[FockTypical, FockTypical]
+
+    def wrong(params, a, b):
+        out = rule(params, a, b)
+        coset = _coset(params, a, b)
+        if coset is None:
+            return out
+        r = coset[0]
+        return ModuleExpr((shift(params, x, 2) if x.r == r - 1 else x, n) for x, n in out.items())
+
+    monkeypatch.setitem(_CLOSED_FORMS, (FockTypical, FockTypical), wrong)

@@ -111,6 +111,18 @@ def test_public_constructor_copies_an_expression():
     assert copy._terms is not X._terms
 
 
+def test_only_a_zero_sum_is_falsy():
+    assert not ModuleExpr() and not 0 * X and not ModuleExpr({F12: 0})
+    assert X and ModuleExpr.of(MSimple(1, 1))
+
+
+def test_equal_sums_built_in_different_orders_hash_equal():
+    forward, backward = X + Y, ModuleExpr.combine([(1, Y), (1, X)])
+    assert list(forward.items()) != list(backward.items())
+    assert hash(forward) == hash(backward)
+    assert len({X, Y, forward, backward}) == 3
+
+
 def fraction_sort_key(atom):
     """The sort key as it was defined with ``Fraction`` components."""
     q = getattr(atom, "q", None)

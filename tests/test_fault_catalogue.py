@@ -9,6 +9,12 @@ one pair would be either never run or copied along its orbit.  Rows are
 reset with ``_fuse_atoms.cache_clear()`` alone, before the fault is planted
 and after it is undone: the id tables hold no row.
 
+Each rule fault is one ``setitem`` on ``fusion._CLOSED_FORMS``.  ``fuse``
+and the recursion oracle both take a pair in canonical species order, and
+the oracle reaches the one rule it does not derive, F x F, only through
+that table, so the fault reaches both derivations, as a real bug in the
+rule would: an ``oracle`` failure is a true catch.
+
 The ``_layers`` fault (P's middle layer loses a label) is pinned across
 every suite by ``test_checks.py``, where it makes ``kring`` raise."""
 
@@ -20,7 +26,7 @@ from singlet.fusion import _fuse_atoms
 from singlet.modules import FockAtypical, MSimple, Proj
 from singlet.weights import Params
 
-from helpers import wrong_m12_m12, wrong_p02_f13
+from helpers import wrong_ff_drop_s2, wrong_ff_flank, wrong_m12_m12, wrong_p02_f13
 
 
 def dual_identity(monkeypatch):
@@ -42,7 +48,7 @@ def _failures(**caught):
 
 
 # Fault -> its plant and the failing cases of each suite at p = 3.  No fault
-# fails ``grading``.  ``orbifold`` misses both rule faults: induction
+# fails ``grading``.  ``orbifold`` misses every rule fault: induction
 # identifies labels J^(2m) apart, so its functoriality cases cannot see a
 # fault that commutes with J.  Only ``duality`` sees the dual fault; a
 # suite of Hom adjunctions (rigidity) would be a second.
@@ -54,6 +60,14 @@ FAULTS = {
     "F(q) x P(r,2), q = 1/3 mod 3, drops its largest label": (
         wrong_p02_f13,
         _failures(associativity=824, kring=8, duality=8, oracle=8),
+    ),
+    "F(q) x F(q2) on the coset, s = 2, drops its largest label": (
+        wrong_ff_drop_s2,
+        _failures(associativity=248, duality=5, oracle=1),
+    ),
+    "F(q) x F(q2) on the coset puts P(r-1,.) at P(r+1,.)": (
+        wrong_ff_flank,
+        _failures(associativity=250, duality=5, oracle=4),
     ),
     "dual_atom is the identity on M, P and Fa": (
         dual_identity,

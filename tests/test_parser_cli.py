@@ -17,7 +17,7 @@ from singlet.cli import main
 from singlet.errors import ExprSemanticError, ExprSyntaxError
 from singlet.modules import FockTypical, ModuleExpr, MSimple, Proj
 from singlet.orbifold import OrbifoldParams, VTypical, WSimple
-from singlet.parser import _DIGITS, _SPACE, parse_expr
+from singlet.parser import _DIGITS, _LETTERS, _SPACE, parse_expr
 from singlet.weights import Params
 
 
@@ -64,6 +64,12 @@ def test_error_texts_of_a_species_and_a_coordinate(p2):
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr("X(1,1)", p2)
     assert str(err.value) == "unknown species 'X' (at byte 0)"
+    # A species name is ASCII letters only: a non-ASCII letter ends it.
+    for text, message in [
+        ("\u03a9(1,2)", "expected a species name (at byte 0)"),  # Greek capital omega
+        ("M\u00e9(1,2)", "expected '(' (at byte 1)"),  # Latin small e with acute
+    ]:
+        assert run_cli("--p", "2", "fuse", text, "M(1,1)") == (1, "", f"error: {message}\n")
     with pytest.raises(ExprSemanticError) as err:
         parse_expr("F(1)", p2)
     assert str(err.value) == "typical Fock coordinate must be non-integral, got 1: F(1)"
@@ -209,6 +215,7 @@ def test_a_character_prints_as_its_text_form():
 
 def test_scanner_classes_are_ascii_digits_and_whitespace():
     assert _DIGITS == frozenset(string.digits)
+    assert _LETTERS == frozenset(string.ascii_letters)
     assert _SPACE == frozenset(string.whitespace)
 
 

@@ -83,6 +83,8 @@ def test_suite_results_own_their_failures():
     a.check(False, "case {}", MSimple(1, 1))
     assert (a.cases, a.failures, b.failures) == (1, ["case M(1,1)"], [])
     assert a != b
+    # Equal only to a SuiteResult: not to its field tuple, nor to its name.
+    assert a != ("s", 1, ["case M(1,1)"]) and not b == "s"
     assert repr(a) == "SuiteResult(name='s', cases=1, failures=['case M(1,1)'])"
     with pytest.raises(TypeError):
         hash(a)
